@@ -1,13 +1,15 @@
 """Resumable result cache: one JSON file per (kind, n).
 
 Every payload carries a schema_version stamp; entries written by an older
-schema are treated as absent and recomputed rather than migrated.
+schema are treated as absent and recomputed rather than migrated.  Entries
+are replaced atomically, and one that does not parse is treated as absent.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -36,9 +38,21 @@ def load(cache_dir: Path | None, kind: str, n: int) -> dict | None:
 
 
 def store(cache_dir: Path | None, kind: str, n: int, payload: dict) -> None:
+    """Write the entry atomically: a temp file in cache_dir, then os.replace.
+
+    A reader sees either the old entry or the whole new one, never a
+    partly written file.
+    """
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
     body = {"schema_version": SCHEMA_VERSION, "kind": kind, "n": n}
     body.update(payload)
-    (cache_dir / f"{kind}-{n}.json").write_text(json.dumps(body) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{kind}-{n}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(body) + "\n")
+        os.replace(tmp, cache_dir / f"{kind}-{n}.json")
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import sys
 
 from . import cache
@@ -20,7 +19,7 @@ from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
 from .report import failures
 from .verify import run_suites
-from .zcl import SMALL_N_ZCL, ZclResult, zcl_closed_form, zcl_search
+from .zcl import SMALL_N_ZCL, ZclResult, parallel_map, search_n, zcl_closed_form
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -189,10 +188,6 @@ def cmd_height(args, parser) -> int:
     return 0
 
 
-def _zcl_job(n: int) -> tuple[int, ZclResult]:
-    return n, zcl_search(build_quotient(n))
-
-
 def _witness_payload(res: ZclResult) -> dict:
     (b1, c1), (b2, c2) = res.pair
     return {
@@ -220,12 +215,7 @@ def _zcl_results(ns: list[int], cache_dir, jobs: int) -> dict[int, ZclResult]:
             tuple((b, c) for b, c in w["pair"]),
         )
     if missing:
-        if jobs > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                computed = pool.map(_zcl_job, missing)
-        else:
-            computed = [_zcl_job(n) for n in missing]
-        for n, res in computed:
+        for n, res in zip(missing, parallel_map(search_n, missing, jobs)):
             out[n] = res
             cache.store(
                 cache_dir, "zcl", n, {"value": res.value, "witness": _witness_payload(res)}
@@ -541,6 +531,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     return args.func(args, parser)
 
 

@@ -40,6 +40,18 @@ class BinaryProfile:
     s: tuple
     l: tuple
 
+    def __post_init__(self):
+        t, alpha, s, l = self.t, self.alpha, self.s, self.l
+        m = self.n - (1 << t) + 1
+        if not (
+            len(alpha) == len(s) == len(l) == t
+            and sum(a << j for j, a in enumerate(alpha)) == m
+            and s[t - 1] == m
+            and all(x <= y for x, y in zip(s, s[1:]))
+            and all((self.n + 1 - s[i]) // 2 - (1 << i) == l[i] << i for i in range(t))
+        ):
+            raise ValueError(f"inconsistent binary profile for n={self.n}")
+
     def s_prev(self, i: int) -> int:
         return self.s[i - 1] if i > 0 else 0
 
@@ -52,9 +64,6 @@ def binary_profile(n: int) -> BinaryProfile:
     alpha = tuple((m >> j) & 1 for j in range(t))
     s = tuple(m & ((2 << i) - 1) for i in range(t))
     l = tuple((1 << (t - 1 - i)) + (m >> (i + 1)) - 1 for i in range(t))
-    assert sum(a << j for j, a in enumerate(alpha)) == m
-    assert s[t - 1] == m and all(x <= y for x, y in zip(s, s[1:]))
-    assert all((n + 1 - s[i]) // 2 - (1 << i) == l[i] << i for i in range(t))
     return BinaryProfile(n, t, alpha, s, l)
 
 
@@ -93,12 +102,14 @@ def closed_form_basis(n: int) -> GroebnerBasis:
         e3 = prof.alpha[i] * prof.s_prev(i)
         g = g_recurrence(n - 2 + (1 << i) - prof.s[i])
         f = Poly._raw(frozenset((b, c + e3) for b, c in g.terms)) if e3 else g
-        assert f.homogeneous_degree() is not None
-        assert f.leading_monomial() == (prof.l[i] << i, e3 + (1 << i) - 1)
+        lm = (prof.l[i] << i, e3 + (1 << i) - 1)
+        if f.homogeneous_degree() is None or f.leading_monomial() != lm:
+            raise RuntimeError(f"F_{n}: f_{i} is not homogeneous with leading monomial {lm}")
         polys.append(f)
     gb = GroebnerBasis(polys, n=n)
     # the staircase must close off both axes: a pure w2 power and a pure w3 power
-    assert gb.lms[0][1] == 0 and gb.lms[-1][0] == 0
+    if gb.lms[0][1] != 0 or gb.lms[-1][0] != 0:
+        raise RuntimeError(f"F_{n}: the leading monomials leave an axis open")
     return gb
 
 

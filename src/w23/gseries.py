@@ -33,7 +33,8 @@ class GSeries:
             by_w2 = {(b + 1, c) for b, c in polys[k - 2].terms}
             by_w3 = {(b, c + 1) for b, c in polys[k - 3].terms}
             gk = Poly._raw(frozenset(by_w2 ^ by_w3))
-            assert all(2 * b + 3 * c == k for b, c in gk.terms)
+            if any(2 * b + 3 * c != k for b, c in gk.terms):
+                raise RuntimeError(f"g_{k} is not homogeneous of degree {k}")
             polys.append(gk)
         return polys[r]
 

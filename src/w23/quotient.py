@@ -19,6 +19,12 @@ All basis polynomials are homogeneous, so normal forms preserve degree;
 a monomial of degree above every basis monomial's degree is therefore zero
 in the quotient, which shortcuts most of the deep reductions.
 
+Normal forms are memoized per ring as packed GF(2) rows: the memo maps
+(b, c) to a Python int whose bit i stands for by_degree[2b+3c][i].  Every
+rewrite child of a monomial has that monomial's degree, so a normal form is
+the XOR of its children's ints.  nf_bits returns the int; nf_set decodes it
+into a frozenset of basis monomials for callers that want monomials.
+
 The memo is a plain dict: fills are idempotent (any two computations of the
 same key agree), so concurrent readers sharing a ring stay consistent.
 """
@@ -40,11 +46,14 @@ class QuotientRing:
     def __init__(self, n: int, gb: GroebnerBasis):
         self.n = n
         self.gb = gb
-        # nf_set's degree shortcut is sound only for homogeneous bases.
-        assert all(p.homogeneous_degree() is not None for p in gb.polys)
+        # nf_bits' degree shortcut and packed rows are sound only for
+        # homogeneous bases.
+        if any(p.homogeneous_degree() is None for p in gb.polys):
+            raise ValueError(f"W_{n}: the Groebner basis is not homogeneous")
         pure2 = [lm[0] for lm in gb.lms if lm[1] == 0]
         pure3 = [lm[1] for lm in gb.lms if lm[0] == 0]
-        assert pure2 and pure3, "leading-monomial staircase leaves an axis open"
+        if not (pure2 and pure3):
+            raise ValueError(f"W_{n}: the leading-monomial staircase leaves an axis open")
         lms = gb.lms
         basis = []
         for b in range(min(pure2)):
@@ -61,7 +70,9 @@ class QuotientRing:
         for m in sorted(basis):
             self.by_degree.setdefault(deg(m), []).append(m)
         self.max_degree = max(self.by_degree)
-        self._nf: dict[Monomial, frozenset] = {m: frozenset((m,)) for m in basis}
+        self._nf: dict[Monomial, int] = {
+            m: 1 << i for members in self.by_degree.values() for i, m in enumerate(members)
+        }
         self._heights: Heights | None = None
         self._rules = self._rewrite_rules()
 
@@ -97,36 +108,40 @@ class QuotientRing:
                     )
         raise AssertionError(f"({b},{c}) is neither basis nor reducible")
 
-    def nf_set(self, b: int, c: int) -> frozenset:
-        """Normal form of w2^b*w3^c as a frozenset of basis monomials."""
+    def nf_bits(self, b: int, c: int) -> int:
+        """Normal form of w2^b*w3^c as a bitmask over by_degree[2b+3c]."""
         memo = self._nf
         key = (b, c)
         got = memo.get(key)
         if got is not None:
             return got
-        empty = frozenset()
-        maxdeg = self.max_degree
+        if 2 * b + 3 * c > self.max_degree:
+            return 0  # sound: reductions preserve degree
         stack = [key]
         while stack:
             m = stack[-1]
             if m in memo:
                 stack.pop()
                 continue
-            if 2 * m[0] + 3 * m[1] > maxdeg:
-                memo[m] = empty  # sound: reductions preserve degree
-                stack.pop()
-                continue
-            children = self._children(m)
+            children = self._children(m)  # all of degree deg(m)
             pending = [ch for ch in children if ch not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            acc: set = set()
+            acc = 0
             for ch in children:
                 acc ^= memo[ch]
-            memo[m] = frozenset(acc)
+            memo[m] = acc
             stack.pop()
         return memo[key]
+
+    def nf_set(self, b: int, c: int) -> frozenset:
+        """Normal form of w2^b*w3^c as a frozenset of basis monomials."""
+        bits = self.nf_bits(b, c)
+        if not bits:
+            return frozenset()
+        row = self.by_degree[2 * b + 3 * c]
+        return frozenset(m for i, m in enumerate(row) if bits >> i & 1)
 
     def heights(self) -> Heights:
         if self._heights is None:
@@ -161,16 +176,16 @@ def nf_monomial(q: QuotientRing, b: int, c: int) -> Poly:
 
 
 def class_nonzero(q: QuotientRing, b: int, c: int) -> bool:
-    return bool(q.nf_set(b, c))
+    return q.nf_bits(b, c) != 0
 
 
 def brute_heights(q: QuotientRing) -> Heights:
     """Heights of w2 and w3 in W_n by raising to powers until zero."""
     h2 = 1
-    while q.nf_set(h2 + 1, 0):
+    while q.nf_bits(h2 + 1, 0):
         h2 += 1
     h3 = 1
-    while q.nf_set(0, h3 + 1):
+    while q.nf_bits(0, h3 + 1):
         h3 += 1
     return Heights(h2, h3)
 

@@ -18,9 +18,19 @@ the upper half: the coordinate swap is a ring automorphism fixing every
 z(w2)^beta z(w3)^gamma, so the piece at r mirrors the piece at
 2*beta+3*gamma-r.
 
+The search tests a cell on packed GF(2) rows (the idea of M4RI): C(gamma, c)
+is odd exactly for the submasks c of gamma, so the terms are found by
+walking c = (c - 1) & gamma and keeping the b = (r - 3c)/2 that are
+submasks of beta.  Each normal form is a QuotientRing.nf_bits int, and the
+piece keeps, per set bit of a left form, the XOR of the right forms paired
+with it; the piece is nonzero iff some row is.  TensorElement and the
+frozenset pieces (_piece_pairs, graded_piece) stay as the reference.
+
 The (beta, gamma) search walks a staircase instead of the full grid:
 multiplying a zero element by further zero divisors keeps it zero, so
 vanishing is upward-closed in each exponent and the boundary is monotone.
+It is also bounded: a row stops at the floor best - gamma, below which no
+cell beats the best value so far, and the walk ends once no later row can.
 Exponent caps come from the heights of w2 and w3: an element of height h
 gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
 forces height(z) = 2^(u+1)-1.
@@ -29,8 +39,9 @@ forces height(z) = 2^(u+1)-1.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .poly import Monomial, Poly, lucas_binom_mod2
 from .quotient import QuotientRing, build_quotient
@@ -49,7 +60,8 @@ class TensorElement:
     def __init__(self, ring: QuotientRing, pairs: Iterable[Pair] = ()):
         ps = frozenset(pairs)
         for m1, m2 in ps:
-            assert m1 in ring.basis and m2 in ring.basis
+            if m1 not in ring.basis or m2 not in ring.basis:
+                raise ValueError(f"({m1}, {m2}) is not a pair of basis monomials of W_{ring.n}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "pairs", ps)
 
@@ -76,12 +88,16 @@ class TensorElement:
     def __hash__(self) -> int:
         return hash((id(self.ring), self.pairs))
 
+    def _check_ring(self, other: "TensorElement") -> None:
+        if self.ring is not other.ring:
+            raise ValueError("tensor elements of different rings")
+
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        assert self.ring is other.ring
+        self._check_ring(other)
         return TensorElement._raw(self.ring, self.pairs ^ other.pairs)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        assert self.ring is other.ring
+        self._check_ring(other)
         q = self.ring
         acc: set = set()
         for a1, a2 in self.pairs:
@@ -205,13 +221,43 @@ def _scan_degrees(q: QuotientRing, beta: int, gamma: int):
 
 
 def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool:
-    """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n."""
+    """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n.
+
+    Each piece is held as packed rows: for every left basis monomial (a set
+    bit of some nf_bits), the XOR of the right-hand bitmasks paired with it.
+    """
     if beta < 0 or gamma < 0:
         raise ValueError("exponents must be nonnegative")
     if beta == 0 and gamma == 0:
         return True
+    nf_bits = q.nf_bits
+    cs = []  # the c with C(gamma, c) odd: the submasks of gamma
+    c = gamma
+    while True:
+        cs.append(c)
+        if not c:
+            break
+        c = (c - 1) & gamma
     for r in _scan_degrees(q, beta, gamma):
-        if any(_piece_pairs(q, beta, gamma, r).values()):
+        rows: dict[int, int] = {}  # left bit -> XOR of its right bitmasks
+        for c in cs:
+            rem = r - 3 * c
+            if rem < 0 or rem & 1:
+                continue
+            b = rem >> 1
+            if b & ~beta:  # C(beta, b) even, or b > beta
+                continue
+            left = nf_bits(b, c)
+            if not left:
+                continue
+            right = nf_bits(beta - b, gamma - c)
+            if not right:
+                continue
+            while left:
+                low = left & -left
+                rows[low] = rows.get(low, 0) ^ right
+                left ^= low
+        if any(rows.values()):
             return True
     return False
 
@@ -242,28 +288,33 @@ def _witness(q: QuotientRing, beta: int, gamma: int) -> ZclResult:
 
 
 def zcl_search(q: QuotientRing) -> ZclResult:
-    """Exhaustive-by-staircase maximum of beta+gamma, with one witness.
+    """Branch-and-bound staircase maximum of beta+gamma, with one witness.
 
-    Walks gamma upward; for each gamma the maximal nonzero beta is found by
-    descending from the previous row's maximum (vanishing is upward-closed,
-    so the boundary can only move left).  The witness is the first maximal
-    cell in this walk, its first nonzero left degree in scan order, and the
-    lexicographically least surviving pair there.
+    Walks gamma upward.  Vanishing is upward-closed, so the boundary can only
+    move left and each row descends from the previous row's beta.  A row
+    stops at floor = best - gamma: a cell at or below it cannot beat the
+    best value, and the beta it stops at still bounds the next row.  The
+    walk ends once no remaining row can beat the best value.  The witness
+    is the first maximal cell in this walk, its first nonzero left degree in
+    scan order, and the lexicographically least surviving pair there.
     """
     got = _search_cache.get(q.n)
     if got is not None:
         return got
     h2, h3 = q.heights()
+    gamma_cap = _zcap(h3)
     beta = _zcap(h2)
     best: ZclResult | None = None
-    for gamma in range(_zcap(h3) + 1):
-        while beta >= 0 and not zero_divisor_product_nonzero(q, beta, gamma):
+    for gamma in range(gamma_cap + 1):
+        floor = -1 if best is None else max(best.value - gamma, -1)
+        while beta > floor and not zero_divisor_product_nonzero(q, beta, gamma):
             beta -= 1
-        if beta < 0:
-            break
-        if best is None or beta + gamma > best.value:
+        if beta > floor:
             best = _witness(q, beta, gamma)
-    assert best is not None  # (0, 0) is always nonzero
+        if best is None or beta < 0 or best.value >= beta + gamma_cap:
+            break
+    if best is None:
+        raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
     _search_cache[q.n] = best
     return best
 
@@ -356,15 +407,28 @@ def verify_upper_bound_lemmas(t: int) -> list[Check]:
     ]
 
 
-def _zcl_entry(n: int) -> tuple:
-    res = zcl_search(build_quotient(n))
-    return (n, res.value, res.beta, res.gamma)
+def search_n(n: int) -> ZclResult:
+    """zcl_search on W_n; a module-level function, so workers can run it."""
+    return zcl_search(build_quotient(n))
+
+
+def parallel_map(fn: Callable, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], in at most `jobs` spawned worker processes.
+
+    The pool is clamped to the CPU count and to the number of items; with
+    one worker left, fn runs in this process and nothing is spawned.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
+        return pool.map(fn, items)
 
 
 def zcl_range(lo: int, hi: int, jobs: int = 1) -> list[tuple]:
     """(n, zcl, witness beta, witness gamma) for lo <= n <= hi, in n order."""
     ns = list(range(max(lo, 6), hi + 1))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_zcl_entry, ns)
-    return [_zcl_entry(n) for n in ns]
+    results = parallel_map(search_n, ns, jobs)
+    return [(n, res.value, res.beta, res.gamma) for n, res in zip(ns, results)]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from w23 import cache
 from w23.bounds import tc_table_rows
 from w23.cli import main
 from w23.groebner import closed_form_basis
@@ -168,6 +169,16 @@ def test_zcl_range_cache_resume(capsys, tmp_path):
     assert json.loads(entry.read_text())["value"] == 7
 
 
+def test_cache_store_is_atomic(tmp_path):
+    cache.store(tmp_path, "zcl", 21, {"value": 21})
+    assert [p.name for p in tmp_path.iterdir()] == ["zcl-21.json"]
+    assert cache.load(tmp_path, "zcl", 21)["value"] == 21
+    # a truncated file (from a non-atomic writer or a damaged disk) reads as absent
+    entry = tmp_path / "zcl-21.json"
+    entry.write_text(entry.read_text()[:-8])
+    assert cache.load(tmp_path, "zcl", 21) is None
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("W23_CACHE_DIR", str(tmp_path / "envcache"))
     run(capsys, "zcl", "6")
@@ -253,6 +264,8 @@ def test_usage_errors_exit_2(capsys):
         ["nf", "21", "12", "0", "--format", "csv"],
         ["height", "6", "--closed"],
         ["height", "21", "--brute", "--closed"],
+        ["zcl-range", "6", "8", "--jobs", "0"],
+        ["verify", "zcl", "--jobs", "-1"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from w23 import groebner as groebner_module
 from w23.gseries import g_recurrence
 from w23.groebner import (
+    BinaryProfile,
     GroebnerBasis,
     basis_for,
     binary_profile,
@@ -39,6 +41,17 @@ def test_profile_n21():
     assert (prof.t, prof.alpha, prof.s) == (4, (0, 1, 1, 0), (0, 2, 6, 6))
     assert prof.l == (10, 4, 1, 0)
     assert prof.s_prev(0) == 0
+
+
+def test_profile_rejects_inconsistent_digits():
+    with pytest.raises(ValueError):
+        BinaryProfile(21, 4, (1, 1, 1, 0), (0, 2, 6, 6), (10, 4, 1, 0))
+
+
+def test_closed_form_rejects_wrong_generator(monkeypatch):
+    monkeypatch.setattr(groebner_module, "g_recurrence", lambda r: g_recurrence(r) + ONE)
+    with pytest.raises(RuntimeError):
+        closed_form_basis(21)
 
 
 def test_profile_n15():

@@ -12,7 +12,7 @@ from w23.gseries import (
     verify_g3_lemma,
     verify_kvadriranje,
 )
-from w23.poly import W2, W3, ZERO, poly_text
+from w23.poly import ONE, W2, W3, ZERO, poly_text
 from w23.report import failures
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -82,3 +82,10 @@ def test_vanishing_indices_small():
     # within the first 27 only g_1, g_5, g_13 vanish (indices 2^t - 3)
     zero_at = [r for r in range(27) if not g_recurrence(r)]
     assert zero_at == [1, 5, 13]
+
+
+def test_series_rejects_inhomogeneous_term():
+    series = GSeries()
+    series._polys[2] = W2 + ONE  # corrupt a seed: g_4 = w2*g_2 is no longer homogeneous
+    with pytest.raises(RuntimeError):
+        series.g(4)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from w23.groebner import basis_for, normal_form
+from w23.groebner import GroebnerBasis, basis_for, normal_form
 from w23.poly import Poly, deg
 from w23.quotient import (
     Heights,
+    QuotientRing,
     brute_heights,
     build_quotient,
     class_nonzero,
@@ -81,6 +82,29 @@ def test_fast_path_matches_division():
         for _ in range(120):
             b, c = rng.randrange(2 * n), rng.randrange(n)
             assert nf_monomial(q, b, c) == normal_form(Poly({(b, c)}), gb), (n, b, c)
+
+
+def test_nf_bits_decode_to_division():
+    # the packed memo, decoded by hand through by_degree, against heap
+    # division; n = 6 runs the generic rewrite, the others the closed form
+    rng = random.Random(2024)
+    for n in (6, 9, 21, 22, 40, 63):
+        q = build_quotient(n)
+        gb = basis_for(n)
+        for _ in range(150):
+            b, c = rng.randrange(2 * n), rng.randrange(n)
+            bits = q.nf_bits(b, c)
+            row = q.by_degree.get(2 * b + 3 * c, [])
+            assert 0 <= bits < 1 << len(row), (n, b, c)
+            decoded = frozenset(m for i, m in enumerate(row) if bits >> i & 1)
+            assert decoded == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
+
+
+def test_ring_rejects_unusable_basis():
+    with pytest.raises(ValueError):  # not homogeneous
+        QuotientRing(9, GroebnerBasis([Poly({(3, 0), (0, 1)}), Poly({(0, 3)})]))
+    with pytest.raises(ValueError):  # no pure power of w3 among the leading monomials
+        QuotientRing(9, GroebnerBasis([Poly({(3, 0)}), Poly({(1, 2)})]))
 
 
 def test_nf_is_multiplicative_through_reduction():

@@ -4,16 +4,24 @@ import random
 
 import pytest
 
+from w23 import zcl as zcl_module
+from w23.cli import main
+from w23.groebner import basis_for
 from w23.poly import W2, W3, Poly
-from w23.quotient import build_quotient
+from w23.quotient import QuotientRing, build_quotient
 from w23.report import failures
 from w23.zcl import (
     SMALL_N_ZCL,
     TensorElement,
     ZclResult,
+    _piece_pairs,
+    _scan_degrees,
+    _witness,
+    _zcap,
     embed_left,
     embed_right,
     graded_piece,
+    parallel_map,
     tensor_one,
     verify_upper_bound_lemmas,
     verify_zero_divisor_algebra,
@@ -189,3 +197,120 @@ def test_zcl_range_serial():
     assert [r[:2] for r in rows] == [(6, 2), (7, 7), (8, 7), (9, 7), (10, 8)]
     for n, value, beta, gamma in rows:
         assert beta + gamma == value
+
+
+def test_tensor_element_rejects_bad_input():
+    q9, q10 = build_quotient(9), build_quotient(10)
+    with pytest.raises(ValueError):
+        TensorElement(q9, {((0, 0), (99, 0))})
+    with pytest.raises(ValueError):
+        z(q9, W2) + z(q10, W2)
+    with pytest.raises(ValueError):
+        z(q9, W2) * z(q10, W2)
+
+
+def test_packed_cells_match_tensor_product():
+    # every cell of the capped grid (so every cell near the staircase):
+    # the packed-row test against the generic tensor product and against
+    # the frozenset pieces
+    for n in (9, 14, 21, 22):
+        q = build_quotient(n)
+        h2, h3 = q.heights()
+        z2, z3 = z(q, W2), z(q, W3)
+        col = tensor_one(q)
+        for gamma in range(_zcap(h3) + 2):
+            el = col
+            for beta in range(_zcap(h2) + 2):
+                total = 2 * beta + 3 * gamma
+                pieces = any(
+                    any(_piece_pairs(q, beta, gamma, r).values()) for r in range(total + 1)
+                )
+                packed = zero_divisor_product_nonzero(q, beta, gamma)
+                assert packed == bool(el) == pieces, (n, beta, gamma)
+                el = el * z2
+            col = col * z3
+
+
+def _unpruned_search(q):
+    """The staircase walked to every row's exact boundary, cells tested on
+    frozenset pieces: the reference for the bounded walk."""
+    h2, h3 = q.heights()
+    beta = _zcap(h2)
+    best = None
+    for gamma in range(_zcap(h3) + 1):
+        while beta >= 0 and not any(
+            any(_piece_pairs(q, beta, gamma, r).values())
+            for r in _scan_degrees(q, beta, gamma)
+        ):
+            beta -= 1
+        if beta < 0:
+            break
+        if best is None or beta + gamma > best.value:
+            best = _witness(q, beta, gamma)
+    return best
+
+
+def test_bounded_walk_matches_unpruned_staircase():
+    for n in range(6, 127):
+        q = build_quotient(n)
+        assert zcl_search(q) == _unpruned_search(q), n
+
+
+def test_search_raises_when_the_unit_cell_vanishes(monkeypatch):
+    monkeypatch.setattr(zcl_module, "_search_cache", {})
+    monkeypatch.setattr(zcl_module, "zero_divisor_product_nonzero", lambda q, b, c: False)
+    with pytest.raises(RuntimeError):
+        zcl_search(QuotientRing(9, basis_for(9)))
+
+
+class _RecordingContext:
+    """A stand-in for a multiprocessing context: records pool sizes, runs in-process."""
+
+    def __init__(self):
+        self.methods, self.processes = [], []
+
+    def __call__(self, method):
+        self.methods.append(method)
+        return self
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+def test_parallel_map_clamps_pool_size(monkeypatch):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(zcl_module.multiprocessing, "get_context", ctx)
+    monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 4)
+    assert parallel_map(abs, [-1, -2, -3], jobs=10**9) == [1, 2, 3]
+    assert parallel_map(abs, list(range(-10, 0)), jobs=10**9) == list(range(10, 0, -1))
+    assert parallel_map(abs, list(range(10)), jobs=2) == list(range(10))
+    assert ctx.processes == [3, 4, 2]
+    assert set(ctx.methods) == {"spawn"}
+    # one worker, or one item, runs here without a pool
+    assert parallel_map(abs, [-5], jobs=8) == [5]
+    assert parallel_map(abs, [-1, -2], jobs=1) == [1, 2]
+    assert ctx.processes == [3, 4, 2]
+    with pytest.raises(ValueError):
+        parallel_map(abs, [1], jobs=0)
+
+
+def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(zcl_module.multiprocessing, "get_context", ctx)
+    monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 8)
+    cache_dir = str(tmp_path / "cache")
+    assert main(["zcl-range", "6", "8", "--jobs", "64", "--cache-dir", cache_dir]) == 0
+    assert main(["zcl-range", "6", "9", "--jobs", "64", "--cache-dir", cache_dir]) == 0
+    assert main(["zcl-range", "6", "14", "--jobs", "64", "--format", "csv"]) == 0
+    assert ctx.processes == [3, 8]  # 6..9 had only n=9 missing: no pool
+    assert capsys.readouterr().out.endswith("14,16,15,1\n")
