@@ -32,7 +32,7 @@ def load(cache_dir: Path | None, kind: str, n: int) -> dict | None:
         payload = json.loads((cache_dir / f"{kind}-{n}.json").read_text())
     except (OSError, ValueError):
         return None
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
         return None
     return payload
 

@@ -198,22 +198,37 @@ def _witness_payload(res: ZclResult) -> dict:
     }
 
 
+def _decode_zcl(payload: dict | None) -> ZclResult | None:
+    """A cached zcl entry, or None (recompute) unless it is self-consistent:
+    nonnegative int fields, value = beta + gamma, and a pair whose degrees
+    are r and 2*beta + 3*gamma - r."""
+    w = None if payload is None else payload.get("witness")
+    if not isinstance(w, dict):
+        return None
+    try:
+        (b1, c1), (b2, c2) = w["pair"]
+        fields = (payload["value"], w["beta"], w["gamma"], w["r"], b1, c1, b2, c2)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not all(type(x) is int and x >= 0 for x in fields):
+        return None
+    value, beta, gamma, r = fields[:4]
+    if value != beta + gamma:
+        return None
+    if 2 * b1 + 3 * c1 != r or 2 * b2 + 3 * c2 != 2 * beta + 3 * gamma - r:
+        return None
+    return ZclResult(value, beta, gamma, r, ((b1, c1), (b2, c2)))
+
+
 def _zcl_results(ns: list[int], cache_dir, jobs: int) -> dict[int, ZclResult]:
     out: dict[int, ZclResult] = {}
     missing = []
     for n in ns:
-        payload = cache.load(cache_dir, "zcl", n)
-        if payload is None:
+        res = _decode_zcl(cache.load(cache_dir, "zcl", n))
+        if res is None:
             missing.append(n)
-            continue
-        w = payload["witness"]
-        out[n] = ZclResult(
-            payload["value"],
-            w["beta"],
-            w["gamma"],
-            w["r"],
-            tuple((b, c) for b, c in w["pair"]),
-        )
+        else:
+            out[n] = res
     if missing:
         for n, res in zip(missing, parallel_map(search_n, missing, jobs)):
             out[n] = res

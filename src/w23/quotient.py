@@ -4,6 +4,11 @@ A built QuotientRing carries the additive monomial basis B_n (all w2^b*w3^c
 with no leading monomial of the Groebner basis dividing w2^b*w3^c) and maps
 arbitrary monomials to their normal forms, memoized per ring.
 
+The basis is read off the leading-monomial staircase: with the leading
+monomials sorted, row b of B_n is every c below the least lm[1] over the
+lm with lm[0] <= b, so the walk costs O(dim + number of leading monomials)
+and emits the basis in lex order, each by_degree row already sorted.
+
 Monomial reduction has two routes.  The production fast path rewrites, in
 the quotient, a monomial divisible by LM(f_i) as
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, basis_for, binary_profile
-from .poly import Monomial, Poly, deg, lucas_binom_mod2
+from .poly import Monomial, Poly, lucas_binom_mod2
 
 
 class Heights(NamedTuple):
@@ -54,25 +59,31 @@ class QuotientRing:
         pure3 = [lm[1] for lm in gb.lms if lm[0] == 0]
         if not (pure2 and pure3):
             raise ValueError(f"W_{n}: the leading-monomial staircase leaves an axis open")
-        lms = gb.lms
-        basis = []
+        # row b of the staircase: c < c_bound = min lm[1] over lm[0] <= b
+        lms = sorted(gb.lms)
+        by_degree: dict[int, list[Monomial]] = {}
+        c_bound = min(pure3)
+        i = 0
         for b in range(min(pure2)):
-            for c in range(min(pure3)):
-                if not any(lm[0] <= b and lm[1] <= c for lm in lms):
-                    if 2 * b + 3 * c >= 3 * n - 9:
-                        raise RuntimeError(
-                            f"W_{n}: basis monomial ({b},{c}) at degree {2 * b + 3 * c}"
-                            f" >= {3 * n - 9}; the basis of I_{n} is inconsistent"
-                        )
-                    basis.append((b, c))
-        self.basis: frozenset = frozenset(basis)
-        self.by_degree: dict[int, list[Monomial]] = {}
-        for m in sorted(basis):
-            self.by_degree.setdefault(deg(m), []).append(m)
-        self.max_degree = max(self.by_degree)
+            while i < len(lms) and lms[i][0] <= b:
+                c_bound = min(c_bound, lms[i][1])
+                i += 1
+            for c in range(c_bound):
+                by_degree.setdefault(2 * b + 3 * c, []).append((b, c))
+        self.by_degree = by_degree
+        self.max_degree = max(by_degree)
+        if self.max_degree >= 3 * n - 9:
+            b, c = by_degree[self.max_degree][0]
+            raise RuntimeError(
+                f"W_{n}: basis monomial ({b},{c}) at degree {self.max_degree}"
+                f" >= {3 * n - 9}; the basis of I_{n} is inconsistent"
+            )
         self._nf: dict[Monomial, int] = {
-            m: 1 << i for members in self.by_degree.values() for i, m in enumerate(members)
+            m: 1 << i for members in by_degree.values() for i, m in enumerate(members)
         }
+        # from an iterator, not the dict: frozenset presizes a table for a
+        # dict argument, 16 MB instead of 8 MB at 305k monomials
+        self.basis: frozenset = frozenset(m for row in by_degree.values() for m in row)
         self._heights: Heights | None = None
         self._rules = self._rewrite_rules()
 

@@ -31,6 +31,8 @@ multiplying a zero element by further zero divisors keeps it zero, so
 vanishing is upward-closed in each exponent and the boundary is monotone.
 It is also bounded: a row stops at the floor best - gamma, below which no
 cell beats the best value so far, and the walk ends once no later row can.
+The walk tracks only the best cell's (value, beta, gamma); the witness, on
+frozenset pieces, is built once, for the final cell.
 Exponent caps come from the heights of w2 and w3: an element of height h
 gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
 forces height(z) = 2^(u+1)-1.
@@ -294,9 +296,11 @@ def zcl_search(q: QuotientRing) -> ZclResult:
     move left and each row descends from the previous row's beta.  A row
     stops at floor = best - gamma: a cell at or below it cannot beat the
     best value, and the beta it stops at still bounds the next row.  The
-    walk ends once no remaining row can beat the best value.  The witness
-    is the first maximal cell in this walk, its first nonzero left degree in
-    scan order, and the lexicographically least surviving pair there.
+    walk ends once no remaining row can beat the best value.  The best
+    value only changes on a strict improvement, so the final cell is the
+    first maximal cell in this walk; the witness is built once, for it: its
+    first nonzero left degree in scan order, and the lexicographically least
+    surviving pair there.
     """
     got = _search_cache.get(q.n)
     if got is not None:
@@ -304,19 +308,19 @@ def zcl_search(q: QuotientRing) -> ZclResult:
     h2, h3 = q.heights()
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
-    best: ZclResult | None = None
+    best: tuple[int, int, int] | None = None  # (value, beta, gamma)
     for gamma in range(gamma_cap + 1):
-        floor = -1 if best is None else max(best.value - gamma, -1)
+        floor = -1 if best is None else max(best[0] - gamma, -1)
         while beta > floor and not zero_divisor_product_nonzero(q, beta, gamma):
             beta -= 1
         if beta > floor:
-            best = _witness(q, beta, gamma)
-        if best is None or beta < 0 or best.value >= beta + gamma_cap:
+            best = (beta + gamma, beta, gamma)
+        if best is None or beta < 0 or best[0] >= beta + gamma_cap:
             break
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
-    _search_cache[q.n] = best
-    return best
+    result = _search_cache[q.n] = _witness(q, best[1], best[2])
+    return result
 
 
 def zcl_wn(q: QuotientRing) -> int:

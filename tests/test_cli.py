@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 from w23 import cache
+from w23 import cli as cli_module
 from w23.bounds import tc_table_rows
-from w23.cli import main
+from w23.cli import _decode_zcl, main
 from w23.groebner import closed_form_basis
 from w23.poly import Poly
 from w23.quotient import build_quotient
-from w23.zcl import SMALL_N_ZCL
+from w23.zcl import SMALL_N_ZCL, ZclResult
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,25 +149,57 @@ def test_zcl_range_csv(capsys):
     assert values == SMALL_N_ZCL
 
 
-def test_zcl_range_cache_resume(capsys, tmp_path):
+def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     run(capsys, "zcl-range", "6", "8", "--cache-dir", str(cache_dir))
     entry = cache_dir / "zcl-7.json"
     assert entry.exists()
+    good = json.loads(entry.read_text())
 
-    # a valid entry is trusted without recomputation
-    body = json.loads(entry.read_text())
-    body["value"] = 999
-    entry.write_text(json.dumps(body))
-    _, out = run(capsys, "zcl", "7", "--cache-dir", str(cache_dir))
-    assert out == "zcl(W_7) = 999\n"
-
-    # a stale-schema entry is recomputed and rewritten
-    body["schema_version"] = -1
-    entry.write_text(json.dumps(body))
+    # an inconsistent entry (value != beta + gamma) is recomputed and rewritten
+    entry.write_text(json.dumps(dict(good, value=999)))
     _, out = run(capsys, "zcl", "7", "--cache-dir", str(cache_dir))
     assert out == "zcl(W_7) = 7\n"
-    assert json.loads(entry.read_text())["value"] == 7
+    assert json.loads(entry.read_text()) == good
+
+    # a stale-schema entry is recomputed and rewritten
+    entry.write_text(json.dumps(dict(good, schema_version=-1)))
+    _, out = run(capsys, "zcl", "7", "--cache-dir", str(cache_dir))
+    assert out == "zcl(W_7) = 7\n"
+    assert json.loads(entry.read_text()) == good
+
+    # a consistent entry is trusted without recomputation
+    def no_search(n):
+        raise AssertionError(f"W_{n} recomputed")
+
+    monkeypatch.setattr(cli_module, "search_n", no_search)
+    _, out = run(capsys, "zcl", "7", "--witness", "--cache-dir", str(cache_dir))
+    assert out.startswith("zcl(W_7) = 7\nwitness: beta=7 gamma=0 r=8 ")
+
+
+def _zcl7_payload(**witness):
+    w = {"beta": 7, "gamma": 0, "r": 8, "pair": [[1, 2], [0, 2]]}
+    w.update(witness)
+    return {"schema_version": cache.SCHEMA_VERSION, "value": 7, "witness": w}
+
+
+def test_cached_zcl_is_checked_before_use():
+    assert _decode_zcl(_zcl7_payload()) == ZclResult(7, 7, 0, 8, ((1, 2), (0, 2)))
+    bad = [
+        None,
+        {"schema_version": cache.SCHEMA_VERSION, "value": 7},  # no witness
+        dict(_zcl7_payload(), value=999),  # value != beta + gamma
+        {"value": 7, "witness": {"beta": 7, "gamma": 0, "pair": [[1, 2], [0, 2]]}},  # no r
+        _zcl7_payload(beta="7"),  # not an int
+        _zcl7_payload(beta=True),  # not an int
+        _zcl7_payload(beta=10, gamma=-3, pair=[[1, 2], [0, 1]]),  # negative
+        _zcl7_payload(r=6),  # left degree 8 != r
+        _zcl7_payload(pair=[[1, 2], [0, 3]]),  # right degree != 14 - r
+        _zcl7_payload(pair=[[1, 2]]),  # not a pair
+        _zcl7_payload(pair="xy"),
+    ]
+    for payload in bad:
+        assert _decode_zcl(payload) is None, payload
 
 
 def test_cache_store_is_atomic(tmp_path):
@@ -176,6 +209,9 @@ def test_cache_store_is_atomic(tmp_path):
     # a truncated file (from a non-atomic writer or a damaged disk) reads as absent
     entry = tmp_path / "zcl-21.json"
     entry.write_text(entry.read_text()[:-8])
+    assert cache.load(tmp_path, "zcl", 21) is None
+    # so does valid JSON that is not an object
+    entry.write_text("[1, 2]\n")
     assert cache.load(tmp_path, "zcl", 21) is None
 
 

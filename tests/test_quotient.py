@@ -100,6 +100,36 @@ def test_nf_bits_decode_to_division():
             assert decoded == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
 
 
+def _rectangle_basis(gb):
+    """Every cell of the min(pure2) x min(pure3) rectangle that no leading
+    monomial divides: the reference for the staircase walk."""
+    b_end = min(lm[0] for lm in gb.lms if lm[1] == 0)
+    c_end = min(lm[1] for lm in gb.lms if lm[0] == 0)
+    return {
+        (b, c)
+        for b in range(b_end)
+        for c in range(c_end)
+        if not any(lm[0] <= b and lm[1] <= c for lm in gb.lms)
+    }
+
+
+def test_staircase_basis_matches_rectangle_scan():
+    # n = 6 is the Buchberger basis; 1408 and 1535 end levels of t = 10
+    for n in [*range(6, 301), 1408, 1535]:
+        gb = basis_for(n)
+        q = QuotientRing(n, gb)
+        assert q.basis == _rectangle_basis(gb), n
+        assert sum(map(len, q.by_degree.values())) == len(q.basis), n
+        for r, row in q.by_degree.items():
+            assert row == sorted(row) and all(deg(m) == r for m in row), (n, r)
+
+
+def test_ring_rejects_basis_reaching_top_degree():
+    # the basis of I_20 leaves monomials of degree >= 3*9-9 standing
+    with pytest.raises(RuntimeError):
+        QuotientRing(9, basis_for(20))
+
+
 def test_ring_rejects_unusable_basis():
     with pytest.raises(ValueError):  # not homogeneous
         QuotientRing(9, GroebnerBasis([Poly({(3, 0), (0, 1)}), Poly({(0, 3)})]))

@@ -263,6 +263,24 @@ def test_search_raises_when_the_unit_cell_vanishes(monkeypatch):
         zcl_search(QuotientRing(9, basis_for(9)))
 
 
+def test_search_builds_one_witness(monkeypatch):
+    calls = []
+
+    def counted(q, beta, gamma):
+        calls.append((q.n, beta, gamma))
+        return _witness(q, beta, gamma)
+
+    monkeypatch.setattr(zcl_module, "_search_cache", {})
+    monkeypatch.setattr(zcl_module, "_witness", counted)
+    for n in (21, 440, 1408):
+        calls.clear()
+        q = QuotientRing(n, basis_for(n))  # not kept in the ring cache
+        res = zcl_search(q)
+        assert calls == [(n, res.beta, res.gamma)], n
+        zcl_search(q)  # served from the search cache
+        assert len(calls) == 1, n
+
+
 class _RecordingContext:
     """A stand-in for a multiprocessing context: records pool sizes, runs in-process."""
 
