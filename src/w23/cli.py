@@ -19,7 +19,14 @@ from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
 from .report import failures
 from .verify import run_suites
-from .zcl import SMALL_N_ZCL, ZclResult, parallel_map, search_n, zcl_closed_form
+from .zcl import (
+    SMALL_N_ZCL,
+    ZclResult,
+    _piece_pairs,
+    parallel_map,
+    search_n,
+    zcl_closed_form,
+)
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -120,7 +127,7 @@ def cmd_basis(args, parser) -> int:
         parser.error("quotient rings start at n = 6")
     q = build_quotient(args.n)
     if args.degree is not None:
-        monos = sorted(q.by_degree.get(args.degree, []))
+        monos = q.by_degree().get(args.degree, [])
         if args.format == "json":
             return _emit_json(
                 {
@@ -141,17 +148,17 @@ def cmd_basis(args, parser) -> int:
                 "n": args.n,
                 "count": len(q.basis),
                 "by_degree": counts,
-                "monomials": [[b, c] for b, c in sorted(q.basis)],
+                "monomials": [[b, c] for b, c in q.basis],
             }
         )
     if args.format == "csv":
         return _emit_csv(
             ["b", "c", "degree"],
-            [[b, c, 2 * b + 3 * c] for b, c in sorted(q.basis)],
+            [[b, c, 2 * b + 3 * c] for b, c in q.basis],
         )
     print(f"W_{args.n}: {len(q.basis)} basis monomials, top degree {q.max_degree}")
-    for d in sorted(q.by_degree):
-        print(f"deg {d}: " + " ".join(map(mono_text, sorted(q.by_degree[d]))))
+    for d, row in sorted(q.by_degree().items()):
+        print(f"deg {d}: " + " ".join(map(mono_text, row)))
     return 0
 
 
@@ -220,12 +227,19 @@ def _decode_zcl(payload: dict | None) -> ZclResult | None:
     return ZclResult(value, beta, gamma, r, ((b1, c1), (b2, c2)))
 
 
+def _certified(n: int, res: ZclResult) -> bool:
+    """Whether the witness pair survives in the left-degree-r piece of
+    z(w2)^beta*z(w3)^gamma on W_n, so that product is really nonzero."""
+    m1, m2 = res.pair
+    return m2 in _piece_pairs(build_quotient(n), res.beta, res.gamma, res.r).get(m1, ())
+
+
 def _zcl_results(ns: list[int], cache_dir, jobs: int) -> dict[int, ZclResult]:
     out: dict[int, ZclResult] = {}
     missing = []
     for n in ns:
         res = _decode_zcl(cache.load(cache_dir, "zcl", n))
-        if res is None:
+        if res is None or not _certified(n, res):
             missing.append(n)
         else:
             out[n] = res

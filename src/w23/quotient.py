@@ -4,10 +4,16 @@ A built QuotientRing carries the additive monomial basis B_n (all w2^b*w3^c
 with no leading monomial of the Groebner basis dividing w2^b*w3^c) and maps
 arbitrary monomials to their normal forms, memoized per ring.
 
-The basis is read off the leading-monomial staircase: with the leading
-monomials sorted, row b of B_n is every c below the least lm[1] over the
-lm with lm[0] <= b, so the walk costs O(dim + number of leading monomials)
-and emits the basis in lex order, each by_degree row already sorted.
+The ring is lazy: it keeps one list, the leading-monomial staircase.  With
+the leading monomials sorted, row b of B_n is every c below
+
+    c_bound[b] = least lm[1] over the lm with lm[0] <= b,
+
+for b below the least pure power of w2, so building a ring costs O(rows)
+and w2^b*w3^c is a basis monomial iff b < len(c_bound) and c < c_bound[b].
+Nothing of size dim(W_n) is built up front: `basis` is a read-only set view
+over the rows (O(1) membership, O(rows) len, lex-order iteration), and
+by_degree() and degree_counts() derive from c_bound when asked.
 
 Monomial reduction has two routes.  The production fast path rewrites, in
 the quotient, a monomial divisible by LM(f_i) as
@@ -24,18 +30,23 @@ All basis polynomials are homogeneous, so normal forms preserve degree;
 a monomial of degree above every basis monomial's degree is therefore zero
 in the quotient, which shortcuts most of the deep reductions.
 
-Normal forms are memoized per ring as packed GF(2) rows: the memo maps
-(b, c) to a Python int whose bit i stands for by_degree[2b+3c][i].  Every
-rewrite child of a monomial has that monomial's degree, so a normal form is
-the XOR of its children's ints.  nf_bits returns the int; nf_set decodes it
-into a frozenset of basis monomials for callers that want monomials.
+Normal forms are packed GF(2) rows.  In a fixed degree d the exponent b
+decides c, and b % 3 == (2*d) % 3, so bit b // 3 stands for the monomial
+w2^b*w3^c of degree d; no per-degree index table is needed.  Every rewrite
+child of a monomial has that monomial's degree, so a normal form is the XOR
+of its children's ints.  nf_bits returns the int (a basis monomial's is
+its own bit, read off the staircase); nf_set decodes it arithmetically into
+a frozenset of basis monomials for callers that want monomials.
 
-The memo is a plain dict: fills are idempotent (any two computations of the
-same key agree), so concurrent readers sharing a ring stay consistent.
+The memo holds only the monomials nf_bits has reduced and the basis
+children it touched on the way.  It is a plain dict: fills are idempotent
+(any two computations of the same key agree), so concurrent readers
+sharing a ring stay consistent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, basis_for, binary_profile
@@ -45,6 +56,31 @@ from .poly import Monomial, Poly, lucas_binom_mod2
 class Heights(NamedTuple):
     h2: int
     h3: int
+
+
+class StaircaseBasis(Set):
+    """B_n as a read-only set of monomials: (b, c) is a member iff
+    0 <= b < len(c_bound) and 0 <= c < c_bound[b].  Iterates in lex order."""
+
+    __slots__ = ("c_bound",)
+
+    def __init__(self, c_bound: list[int]):
+        self.c_bound = c_bound
+
+    def __contains__(self, m) -> bool:
+        try:
+            b, c = m
+            return 0 <= b < len(self.c_bound) and 0 <= c < self.c_bound[b]
+        except (TypeError, ValueError):
+            return False
+
+    def __len__(self) -> int:
+        return sum(self.c_bound)
+
+    def __iter__(self):
+        for b, bound in enumerate(self.c_bound):
+            for c in range(bound):
+                yield (b, c)
 
 
 class QuotientRing:
@@ -59,31 +95,29 @@ class QuotientRing:
         pure3 = [lm[1] for lm in gb.lms if lm[0] == 0]
         if not (pure2 and pure3):
             raise ValueError(f"W_{n}: the leading-monomial staircase leaves an axis open")
-        # row b of the staircase: c < c_bound = min lm[1] over lm[0] <= b
+        # row b of the staircase: c < c_bound[b] = min lm[1] over lm[0] <= b
         lms = sorted(gb.lms)
-        by_degree: dict[int, list[Monomial]] = {}
-        c_bound = min(pure3)
+        c_bound: list[int] = []
+        bound = min(pure3)
         i = 0
         for b in range(min(pure2)):
             while i < len(lms) and lms[i][0] <= b:
-                c_bound = min(c_bound, lms[i][1])
+                bound = min(bound, lms[i][1])
                 i += 1
-            for c in range(c_bound):
-                by_degree.setdefault(2 * b + 3 * c, []).append((b, c))
-        self.by_degree = by_degree
-        self.max_degree = max(by_degree)
+            c_bound.append(bound)
+        self.c_bound = c_bound
+        # each row's top monomial is (b, c_bound[b] - 1)
+        self.max_degree = max(2 * b + 3 * bound - 3 for b, bound in enumerate(c_bound))
         if self.max_degree >= 3 * n - 9:
-            b, c = by_degree[self.max_degree][0]
+            b = next(
+                b for b, bound in enumerate(c_bound) if 2 * b + 3 * bound - 3 == self.max_degree
+            )
             raise RuntimeError(
-                f"W_{n}: basis monomial ({b},{c}) at degree {self.max_degree}"
+                f"W_{n}: basis monomial ({b},{c_bound[b] - 1}) at degree {self.max_degree}"
                 f" >= {3 * n - 9}; the basis of I_{n} is inconsistent"
             )
-        self._nf: dict[Monomial, int] = {
-            m: 1 << i for members in by_degree.values() for i, m in enumerate(members)
-        }
-        # from an iterator, not the dict: frozenset presizes a table for a
-        # dict argument, 16 MB instead of 8 MB at 305k monomials
-        self.basis: frozenset = frozenset(m for row in by_degree.values() for m in row)
+        self.basis = StaircaseBasis(c_bound)
+        self._nf: dict[Monomial, int] = {}
         self._heights: Heights | None = None
         self._rules = self._rewrite_rules()
 
@@ -120,7 +154,11 @@ class QuotientRing:
         raise AssertionError(f"({b},{c}) is neither basis nor reducible")
 
     def nf_bits(self, b: int, c: int) -> int:
-        """Normal form of w2^b*w3^c as a bitmask over by_degree[2b+3c]."""
+        """Normal form of w2^b*w3^c as a bitmask: bit i stands for the
+        monomial of degree 2b+3c whose w2 exponent is 3i + (2*(2b+3c)) % 3."""
+        bounds = self.c_bound
+        if 0 <= b < len(bounds) and 0 <= c < bounds[b]:
+            return 1 << b // 3
         memo = self._nf
         key = (b, c)
         got = memo.get(key)
@@ -135,7 +173,14 @@ class QuotientRing:
                 stack.pop()
                 continue
             children = self._children(m)  # all of degree deg(m)
-            pending = [ch for ch in children if ch not in memo]
+            pending = []
+            for ch in children:
+                if ch not in memo:
+                    cb, cc = ch
+                    if cb < len(bounds) and cc < bounds[cb]:
+                        memo[ch] = 1 << cb // 3
+                    else:
+                        pending.append(ch)
             if pending:
                 stack.extend(pending)
                 continue
@@ -149,19 +194,39 @@ class QuotientRing:
     def nf_set(self, b: int, c: int) -> frozenset:
         """Normal form of w2^b*w3^c as a frozenset of basis monomials."""
         bits = self.nf_bits(b, c)
-        if not bits:
-            return frozenset()
-        row = self.by_degree[2 * b + 3 * c]
-        return frozenset(m for i, m in enumerate(row) if bits >> i & 1)
+        d = 2 * b + 3 * c
+        offset = 2 * d % 3
+        out = []
+        while bits:
+            low = bits & -bits
+            mb = 3 * (low.bit_length() - 1) + offset
+            out.append((mb, (d - 2 * mb) // 3))
+            bits ^= low
+        return frozenset(out)
 
     def heights(self) -> Heights:
         if self._heights is None:
             self._heights = brute_heights(self)
         return self._heights
 
+    def by_degree(self) -> dict[int, list[Monomial]]:
+        """The basis monomials grouped by degree, each row in lex order."""
+        rows: dict[int, list[Monomial]] = {}
+        for b, c in self.basis:
+            rows.setdefault(2 * b + 3 * c, []).append((b, c))
+        return rows
+
     def degree_counts(self) -> list[int]:
         """Number of basis monomials in each degree, index 0..max_degree."""
-        return [len(self.by_degree.get(r, ())) for r in range(self.max_degree + 1)]
+        # row b adds 1 at degrees 2b, 2b+3, ..., 2b+3*(c_bound[b]-1): a
+        # difference array with stride 3
+        counts = [0] * (self.max_degree + 4)
+        for b, bound in enumerate(self.c_bound):
+            counts[2 * b] += 1
+            counts[2 * b + 3 * bound] -= 1
+        for d in range(3, len(counts)):
+            counts[d] += counts[d - 3]
+        return counts[: self.max_degree + 1]
 
     def __repr__(self) -> str:
         return f"QuotientRing(n={self.n}, dim={len(self.basis)})"

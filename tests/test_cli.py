@@ -1,5 +1,6 @@
 """Command-line behavior: renderings, formats, caching, exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -168,6 +169,14 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     assert out == "zcl(W_7) = 7\n"
     assert json.loads(entry.read_text()) == good
 
+    # a consistent but wrong entry fails the piece check on the ring: in W_7
+    # z(w2)^8 = 0, so w2*w3^2 (x) w2^4 cannot survive; recomputed and rewritten
+    wrong = {"beta": 8, "gamma": 0, "r": 8, "pair": [[1, 2], [4, 0]]}
+    entry.write_text(json.dumps(dict(good, value=8, witness=wrong)))
+    _, out = run(capsys, "zcl", "7", "--closed-form-check", "--cache-dir", str(cache_dir))
+    assert out == "zcl(W_7) = 7\nclosed-form check: ok (7)\n"
+    assert json.loads(entry.read_text()) == good
+
     # a consistent entry is trusted without recomputation
     def no_search(n):
         raise AssertionError(f"W_{n} recomputed")
@@ -317,3 +326,24 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "zcl(W_9) = 7\n"
+
+
+def test_package_has_no_bare_assert():
+    # every invariant must hold under python -O, which strips assert statements
+    package = Path(cli_module.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+def test_verify_passes_under_optimize():
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "w23.cli", "verify", "all", "--t-max", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from w23 import zcl
 from w23.groebner import GroebnerBasis, basis_for, normal_form
 from w23.poly import Poly, deg
 from w23.quotient import (
@@ -48,9 +49,10 @@ def test_basis_respects_top_dimension():
 def test_degree_grouping():
     q = build_quotient(15)
     assert sum(q.degree_counts()) == len(q.basis)
-    for r, members in q.by_degree.items():
+    rows = q.by_degree()
+    for r, members in rows.items():
         assert all(deg(m) == r for m in members)
-    assert q.by_degree[0] == [(0, 0)]
+    assert rows[0] == [(0, 0)]
 
 
 def test_nf_examples():
@@ -85,8 +87,9 @@ def test_fast_path_matches_division():
 
 
 def test_nf_bits_decode_to_division():
-    # the packed memo, decoded by hand through by_degree, against heap
-    # division; n = 6 runs the generic rewrite, the others the closed form
+    # the packed memo, decoded by hand through the bit rule (bit i of a
+    # degree-d form is the monomial with w2 exponent 3i + (2d) % 3), against
+    # heap division; n = 6 runs the generic rewrite, the others the closed form
     rng = random.Random(2024)
     for n in (6, 9, 21, 22, 40, 63):
         q = build_quotient(n)
@@ -94,9 +97,13 @@ def test_nf_bits_decode_to_division():
         for _ in range(150):
             b, c = rng.randrange(2 * n), rng.randrange(n)
             bits = q.nf_bits(b, c)
-            row = q.by_degree.get(2 * b + 3 * c, [])
-            assert 0 <= bits < 1 << len(row), (n, b, c)
-            decoded = frozenset(m for i, m in enumerate(row) if bits >> i & 1)
+            d = 2 * b + 3 * c
+            decoded = set()
+            for i in range(bits.bit_length()):
+                if bits >> i & 1:
+                    mb = 3 * i + 2 * d % 3
+                    assert 2 * mb <= d, (n, b, c)
+                    decoded.add((mb, (d - 2 * mb) // 3))
             assert decoded == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
 
 
@@ -118,10 +125,42 @@ def test_staircase_basis_matches_rectangle_scan():
     for n in [*range(6, 301), 1408, 1535]:
         gb = basis_for(n)
         q = QuotientRing(n, gb)
-        assert q.basis == _rectangle_basis(gb), n
-        assert sum(map(len, q.by_degree.values())) == len(q.basis), n
-        for r, row in q.by_degree.items():
+        oracle = _rectangle_basis(gb)
+        assert q.basis == oracle, n
+        assert len(q.basis) == len(oracle), n
+        assert q.max_degree == max(map(deg, oracle)), n
+        b_end = min(lm[0] for lm in gb.lms if lm[1] == 0)
+        c_end = min(lm[1] for lm in gb.lms if lm[0] == 0)
+        for b in range(b_end + 1):
+            for c in range(c_end + 1):
+                assert ((b, c) in q.basis) == ((b, c) in oracle), (n, b, c)
+        counts = [0] * (q.max_degree + 1)
+        for m in oracle:
+            counts[deg(m)] += 1
+        assert q.degree_counts() == counts, n
+        in_order = list(q.basis)
+        assert in_order == sorted(in_order), n  # lex order
+        rows = q.by_degree()
+        assert [len(rows.get(r, ())) for r in range(q.max_degree + 1)] == counts, n
+        for r, row in rows.items():
             assert row == sorted(row) and all(deg(m) == r for m in row), (n, r)
+
+
+def test_basis_view_rejects_non_monomials():
+    q = build_quotient(21)
+    for m in ((-1, 0), (0, -1), (3,), "ab", None, (3, 6, 0)):
+        assert m not in q.basis, m
+    assert (3, 6) in q.basis
+
+
+def test_ring_stays_lazy_through_a_search(monkeypatch):
+    # the memo holds only what the walk and the witness reduced, far below
+    # dim(W_1408); nothing of size dim is built
+    monkeypatch.setattr(zcl, "_search_cache", {})
+    q = QuotientRing(1408, basis_for(1408))
+    assert not q._nf
+    zcl.zcl_search(q)
+    assert 0 < len(q._nf) < len(q.basis) / 4
 
 
 def test_ring_rejects_basis_reaching_top_degree():
