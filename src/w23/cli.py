@@ -19,14 +19,7 @@ from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
 from .report import failures
 from .verify import run_suites
-from .zcl import (
-    SMALL_N_ZCL,
-    ZclResult,
-    _piece_pairs,
-    parallel_map,
-    search_n,
-    zcl_closed_form,
-)
+from .zcl import SMALL_N_ZCL, ZclResult, _piece_pairs, parallel_map, search_n, zcl_closed_form
 
 
 def _range_arg(text: str) -> tuple[int, int]:
