@@ -1,6 +1,9 @@
 """Command-line behavior: renderings, formats, caching, exit codes."""
 
+import argparse
 import ast
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -44,7 +47,7 @@ def test_g_single(capsys):
 
 
 def test_g_json_round_trip(capsys):
-    _, out = run(capsys, "g", "--range", "0..40", "--format", "json")
+    _, out = run(capsys, "table", "g", "0..40", "--format", "json")
     rows = json.loads(out)
     assert json.loads(json.dumps(rows)) == rows
     from w23.gseries import g_recurrence
@@ -302,7 +305,7 @@ def test_usage_errors_exit_2(capsys):
     for argv in (
         ["zcl", "5"],
         ["bounds", "14"],
-        ["g", "--range", "5..2"],
+        ["table", "g", "5..2"],
         ["g", "--no-such-flag"],
         ["table", "tc", "0..3"],
         ["table", "g", "0..3", "--range", "0..3"],
@@ -311,11 +314,58 @@ def test_usage_errors_exit_2(capsys):
         ["height", "21", "--brute", "--closed"],
         ["zcl-range", "6", "8", "--jobs", "0"],
         ["verify", "zcl", "--jobs", "-1"],
+        ["g", "14", "--format", "csv"],
+        ["groebner", "21", "--format", "csv"],
+        ["table", "tc", "--t", "1..2"],
+        ["table", "tc", "--t", "3"],
+        ["basis", "21", "--degree", "-1"],
+        ["g", "14", "--jobs", "2"],
+        ["verify", "g-series", "--cache-dir", "x"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
         capsys.readouterr()
+
+
+# one small invocation per subcommand, run in every format it offers
+FORMAT_ARGVS = {
+    "g": ["g", "14"],
+    "groebner": ["groebner", "8"],
+    "basis": ["basis", "8"],
+    "nf": ["nf", "8", "3", "1"],
+    "height": ["height", "8"],
+    "zcl": ["zcl", "8", "--witness", "--closed-form-check"],
+    "zcl-range": ["zcl-range", "6", "8"],
+    "bounds": ["bounds", "15"],
+    "table": ["table", "heights", "7..9"],
+    "verify": ["verify", "bounds", "--t-max", "4"],
+}
+
+
+def test_every_format_of_every_command(capsys, monkeypatch):
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    parser = cli_module._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(FORMAT_ARGVS)
+    offers_csv = set()
+    for name, subparser in commands.choices.items():
+        with pytest.raises(SystemExit) as err:
+            main([name, "--help"])
+        assert err.value.code == 0, name
+        capsys.readouterr()
+        (fmt,) = [a for a in subparser._actions if a.dest == "format"]
+        if "csv" in fmt.choices:
+            offers_csv.add(name)
+        for choice in fmt.choices:
+            code, out = run(capsys, *FORMAT_ARGVS[name], "--format", choice)
+            assert code == 0, (name, choice)
+            if choice == "json":
+                json.loads(out)
+            elif choice == "csv":
+                header = next(csv.reader(io.StringIO(out)))
+                assert header and all(field.isidentifier() for field in header), (name, out)
+    assert offers_csv == {"basis", "zcl-range", "table"}
 
 
 def test_console_script_entry_point():
