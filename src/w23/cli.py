@@ -384,6 +384,8 @@ def cmd_table(args, parser) -> View:
     if args.range is not None and args.range_flag is not None:
         parser.error("give the range either positionally or with --range, not both")
     span = args.range if args.range is not None else args.range_flag
+    if args.t is not None and args.which != "tc":
+        parser.error("--t is read only by 'table tc'")
     if args.which == "g":
         return _table_g(parser, *(span or (0, 26)))
     if span is not None and args.which != "heights":
@@ -392,7 +394,7 @@ def cmd_table(args, parser) -> View:
         return _table_small_n()
     if args.which == "heights":
         return _table_heights(parser, *(span or (7, 62)))
-    return _table_tc(parser, *args.t)
+    return _table_tc(parser, *(args.t or (4, 5)))
 
 
 def cmd_verify(args, parser) -> View:
@@ -478,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("g", "small-n", "heights", "tc"))
     p.add_argument("range", type=_range_arg, nargs="?", help="LO..HI (g and heights)")
     p.add_argument("--range", dest="range_flag", type=_range_arg, help="LO..HI")
-    p.add_argument("--t", type=_range_arg, default=(4, 5), help="level range for tc")
+    p.add_argument("--t", type=_range_arg, help="level range for tc (default 4..5)")
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("suites", nargs="+", choices=("all", *SUITES))

@@ -15,33 +15,31 @@ Nothing of size dim(W_n) is built up front: `basis` is a read-only set view
 over the rows (O(1) membership, O(rows) len, lex-order iteration), and
 by_degree() and degree_counts() derive from c_bound when asked.
 
-Monomial reduction has two routes.  The production fast path rewrites, in
-the quotient, a monomial divisible by LM(f_i) as
+Monomial reduction rewrites a monomial that LM(f_i) divides into monomials
+of its own degree.  For n >= 7, always choosing the largest applicable i,
 
     w2^b*w3^c  =  sum over 2d+3e = 2*l_i, e > 0, C(d+e,e) odd
-                  of  w2^(b-2^i*(l_i-d)) * w3^(c+2^i*e),
+                  of  w2^(b-2^i*(l_i-d)) * w3^(c+2^i*e);
 
-always choosing the largest applicable i; the generic route is plain
-division by the basis (groebner.normal_form).  Both give the same answer
-(normal forms are unique); the test suite compares them at scale.  Rings
-without a closed-form basis (n = 6) use the generic route only.
-
-All basis polynomials are homogeneous, so normal forms preserve degree;
-a monomial of degree above every basis monomial's degree is therefore zero
-in the quotient, which shortcuts most of the deep reductions.
+for n = 6 (no closed form) the children are the Buchberger tail of f_i.
+The bases are homogeneous and each LM is lex-largest, so every child keeps
+the degree and drops b by a positive multiple of 3.  Both routes compile
+into one table of (l0, l1, drops of b // 3) feeding one filler; heap
+division (groebner.normal_form) stays the oracle the tests compare it with.
+A monomial of degree above max_degree is zero: reductions preserve degree.
 
 Normal forms are packed GF(2) rows.  In a fixed degree d the exponent b
-decides c, and b % 3 == (2*d) % 3, so bit b // 3 stands for the monomial
-w2^b*w3^c of degree d; no per-degree index table is needed.  Every rewrite
-child of a monomial has that monomial's degree, so a normal form is the XOR
-of its children's ints.  nf_bits returns the int (a basis monomial's is
-its own bit, read off the staircase); nf_set decodes it arithmetically into
-a frozenset of basis monomials for callers that want monomials.
+decides c, and b % 3 == (2*d) % 3, so slot j = b // 3 names the monomial
+w2^(3j + (2d) % 3)*w3^c of degree d and bit j of a packed form stands for
+it.  A normal form is the XOR of its children's ints.  nf_bits returns the
+int (a basis monomial's is its own bit, read off the staircase); nf_set
+decodes it arithmetically into a frozenset of basis monomials.
 
-The memo holds only the monomials nf_bits has reduced and the basis
-children it touched on the way.  It is a plain dict: fills are idempotent
-(any two computations of the same key agree), so concurrent readers
-sharing a ring stay consistent.
+The memo is one list per degree, `_rows[d]`, of d // 6 + 1 slots (None until
+reduced), filled by an explicit-stack depth-first walk over that row's slots:
+only the monomials nf_bits reduced and the basis children it touched are
+filled, never a whole row.  Fills are idempotent (any two computations of a
+slot agree), so readers sharing a ring stay consistent.
 """
 
 from __future__ import annotations
@@ -87,8 +85,7 @@ class QuotientRing:
     def __init__(self, n: int, gb: GroebnerBasis):
         self.n = n
         self.gb = gb
-        # nf_bits' degree shortcut and packed rows are sound only for
-        # homogeneous bases.
+        # nf_bits' degree shortcut and rows are sound only for homogeneous bases
         if any(p.homogeneous_degree() is None for p in gb.polys):
             raise ValueError(f"W_{n}: the Groebner basis is not homogeneous")
         pure2 = [lm[0] for lm in gb.lms if lm[1] == 0]
@@ -117,79 +114,61 @@ class QuotientRing:
                 f" >= {3 * n - 9}; the basis of I_{n} is inconsistent"
             )
         self.basis = StaircaseBasis(c_bound)
-        self._nf: dict[Monomial, int] = {}
+        self._rows: dict[int, list[int | None]] = {}
         self._heights: Heights | None = None
-        self._rules = self._rewrite_rules()
-
-    def _rewrite_rules(self):
-        """Per basis element, largest i first: (LM, replacement exponent shifts)."""
-        if self.n < 7:
-            return None
-        prof = binary_profile(self.n)
-        rules = []
-        for i in reversed(range(prof.t)):
-            l = prof.l[i]
-            shifts = []
-            for e in range(2, 2 * l // 3 + 1, 2):
-                d = l - 3 * e // 2
-                if lucas_binom_mod2(d + e, e):
-                    shifts.append(((l - d) << i, e << i))
-            rules.append((self.gb.lms[i], tuple(shifts)))
-        return tuple(rules)
-
-    def _children(self, m: Monomial) -> tuple:
-        """One rewrite step in the quotient, as the list of replacement monomials."""
-        b, c = m
-        if self._rules is not None:
-            for lm, shifts in self._rules:
-                if lm[0] <= b and lm[1] <= c:
-                    return tuple((b - db, c + dc) for db, dc in shifts)
-        else:
-            for lm, f in zip(self.gb.lms, self.gb.polys):
-                if lm[0] <= b and lm[1] <= c:
-                    db, dc = b - lm[0], c - lm[1]
-                    return tuple(
-                        (tb + db, tc + dc) for tb, tc in f.terms if (tb, tc) != lm
-                    )
-        raise AssertionError(f"({b},{c}) is neither basis nor reducible")
+        self._rules = _tail_rules(gb) if n < 7 else _rewrite_rules(n, gb)
 
     def nf_bits(self, b: int, c: int) -> int:
-        """Normal form of w2^b*w3^c as a bitmask: bit i stands for the
-        monomial of degree 2b+3c whose w2 exponent is 3i + (2*(2b+3c)) % 3."""
+        """Normal form of w2^b*w3^c as a bitmask: bit j stands for the
+        monomial of degree 2b+3c whose w2 exponent is 3j + (2*(2b+3c)) % 3."""
+        if b < 0 or c < 0:
+            raise ValueError(f"negative exponent in w2^{b}*w3^{c}")
         bounds = self.c_bound
-        if 0 <= b < len(bounds) and 0 <= c < bounds[b]:
+        nb = len(bounds)
+        if b < nb and c < bounds[b]:
             return 1 << b // 3
-        memo = self._nf
-        key = (b, c)
-        got = memo.get(key)
+        d = 2 * b + 3 * c
+        if d > self.max_degree:
+            return 0  # sound: reductions preserve degree
+        row = self._rows.get(d)
+        if row is None:
+            row = self._rows[d] = [None] * (d // 6 + 1)
+        j = b // 3
+        got = row[j]
         if got is not None:
             return got
-        if 2 * b + 3 * c > self.max_degree:
-            return 0  # sound: reductions preserve degree
-        stack = [key]
+        off = 2 * d % 3
+        rules = self._rules
+        stack = [j]
         while stack:
-            m = stack[-1]
-            if m in memo:
+            k = stack[-1]
+            if row[k] is not None:
                 stack.pop()
                 continue
-            children = self._children(m)  # all of degree deg(m)
-            pending = []
-            for ch in children:
-                if ch not in memo:
-                    cb, cc = ch
-                    if cb < len(bounds) and cc < bounds[cb]:
-                        memo[ch] = 1 << cb // 3
-                    else:
-                        pending.append(ch)
-            if pending:
-                stack.extend(pending)
-                continue
+            mb = 3 * k + off
+            mc = (d - 2 * mb) // 3
+            for l0, l1, djs in rules:
+                if l0 <= mb and l1 <= mc:
+                    break
+            else:
+                raise RuntimeError(f"W_{self.n}: ({mb},{mc}) is neither basis nor reducible")
             acc = 0
-            for ch in children:
-                acc ^= memo[ch]
-            memo[m] = acc
-            stack.pop()
-        return memo[key]
+            top = len(stack)
+            for dj in djs:  # every child has degree d and a smaller slot
+                ch = k - dj
+                got = row[ch]
+                if got is None:
+                    cb = 3 * ch + off
+                    if cb < nb and (d - 2 * cb) // 3 < bounds[cb]:
+                        got = row[ch] = 1 << ch
+                    else:
+                        stack.append(ch)
+                        continue
+                acc ^= got
+            if len(stack) == top:  # every child was ready
+                row[k] = acc
+                stack.pop()
+        return row[j]
 
     def nf_set(self, b: int, c: int) -> frozenset:
         """Normal form of w2^b*w3^c as a frozenset of basis monomials."""
@@ -232,6 +211,29 @@ class QuotientRing:
         return f"QuotientRing(n={self.n}, dim={len(self.basis)})"
 
 
+def _tail_rules(gb: GroebnerBasis) -> tuple:
+    """Rules (l0, l1, djs), first match wins: slot j of degree d, if w2^l0*w3^l1
+    divides its monomial, reduces to the slots j - dj of d; dj from each tail."""
+    return tuple(
+        (*lm, tuple((lm[0] - tb) // 3 for tb, tc in f.terms if (tb, tc) != lm))
+        for lm, f in zip(gb.lms, gb.polys)
+    )
+
+
+def _rewrite_rules(n: int, gb: GroebnerBasis) -> tuple:
+    """Closed-form rules for n >= 7, largest i first."""
+    prof = binary_profile(n)
+    rules = []
+    for i in reversed(range(prof.t)):
+        l = prof.l[i]
+        # e even, d = l - 3e/2: b drops by (l - d) << i = 3 * (e/2 << i)
+        djs = tuple(
+            e // 2 << i for e in range(2, 2 * l // 3 + 1, 2) if lucas_binom_mod2(l - e // 2, e)
+        )
+        rules.append((*gb.lms[i], djs))
+    return tuple(rules)
+
+
 _ring_cache: dict[int, QuotientRing] = {}
 
 
@@ -246,8 +248,6 @@ def build_quotient(n: int) -> QuotientRing:
 
 def nf_monomial(q: QuotientRing, b: int, c: int) -> Poly:
     """Normal form of w2^b*w3^c in W_n, as a polynomial supported on B_n."""
-    if b < 0 or c < 0:
-        raise ValueError("negative exponent")
     return Poly._raw(q.nf_set(b, c))
 
 

@@ -321,6 +321,8 @@ def test_usage_errors_exit_2(capsys):
         ["basis", "21", "--degree", "-1"],
         ["g", "14", "--jobs", "2"],
         ["verify", "g-series", "--cache-dir", "x"],
+        ["table", "small-n", "--t", "1..2"],
+        ["table", "heights", "7..8", "--t", "99"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

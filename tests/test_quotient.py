@@ -10,6 +10,7 @@ from w23.poly import Poly, deg
 from w23.quotient import (
     Heights,
     QuotientRing,
+    _tail_rules,
     brute_heights,
     build_quotient,
     class_nonzero,
@@ -74,11 +75,17 @@ def test_nf_fixes_basis():
 def test_nf_rejects_negative():
     with pytest.raises(ValueError):
         nf_monomial(build_quotient(9), -1, 0)
+    # a negative slot would read a row from its end; both must raise before
+    # any lookup (one is a would-be reduction, one lies above max_degree)
+    q = build_quotient(21)
+    for b, c in ((-1, 5), (-3, 40), (4, -1)):
+        with pytest.raises(ValueError):
+            q.nf_bits(b, c)
 
 
 def test_fast_path_matches_division():
     rng = random.Random(1105)
-    for n in (7, 12, 15, 21, 22, 27, 33, 48):
+    for n in (7, 12, 15, 21, 22, 27, 33, 48, 126, 254):
         q = build_quotient(n)
         gb = basis_for(n)
         for _ in range(120):
@@ -105,6 +112,29 @@ def test_nf_bits_decode_to_division():
                     assert 2 * mb <= d, (n, b, c)
                     decoded.add((mb, (d - 2 * mb) // 3))
             assert decoded == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
+
+
+def test_generic_rows_match_division_on_w6():
+    # n = 6 has no closed-form basis: the rows reduce by the Buchberger tails;
+    # every monomial up to one past the top degree, against heap division
+    q = build_quotient(6)
+    gb = basis_for(6)
+    for r in range(q.max_degree + 2):
+        for b, c in monomials_of_degree(r):
+            assert q.nf_set(b, c) == normal_form(Poly({(b, c)}), gb).terms, (b, c)
+
+
+def test_tail_rules_match_division():
+    # the generic route on bases with real tails: a fresh ring reducing by the
+    # closed-form polynomials' tails instead of the rewrite rules
+    rng = random.Random(606)
+    for n in (9, 21, 22, 40):
+        gb = basis_for(n)
+        q = QuotientRing(n, gb)
+        q._rules = _tail_rules(gb)
+        for _ in range(150):
+            b, c = rng.randrange(2 * n), rng.randrange(n)
+            assert q.nf_set(b, c) == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
 
 
 def _rectangle_basis(gb):
@@ -153,14 +183,18 @@ def test_basis_view_rejects_non_monomials():
     assert (3, 6) in q.basis
 
 
+def _filled_slots(q):
+    return sum(got is not None for row in q._rows.values() for got in row)
+
+
 def test_ring_stays_lazy_through_a_search(monkeypatch):
-    # the memo holds only what the walk and the witness reduced, far below
-    # dim(W_1408); nothing of size dim is built
+    # the row slots filled hold only what the walk and the witness reduced,
+    # far below dim(W_1408); nothing of size dim is built
     monkeypatch.setattr(zcl, "_search_cache", {})
     q = QuotientRing(1408, basis_for(1408))
-    assert not q._nf
+    assert _filled_slots(q) == 0
     zcl.zcl_search(q)
-    assert 0 < len(q._nf) < len(q.basis) / 4
+    assert 0 < _filled_slots(q) < len(q.basis) / 4
 
 
 def test_ring_rejects_basis_reaching_top_degree():
