@@ -15,17 +15,18 @@ Nothing of size dim(W_n) is built up front: `basis` is a read-only set view
 over the rows (O(1) membership, O(rows) len, lex-order iteration), and
 by_degree() and degree_counts() derive from c_bound when asked.
 
-Monomial reduction rewrites a monomial that LM(f_i) divides into monomials
-of its own degree.  For n >= 7, always choosing the largest applicable i,
+Monomial reduction rewrites a monomial that LM(f_i) divides into the tail
+of f_i times the quotient, trying the f_i from the last back (for n >= 7 the
+largest i first).  The bases are homogeneous and each LM is lex-largest, so
+every child keeps the degree and drops b by a positive multiple of 3: the
+basis compiles into one table of (l0, l1, drops of b // 3) feeding one
+filler.  For n >= 7 the drops are the closed-form rewrite
+(f_i = w3^(e3+2^i-1)*g_(2l_i)^(2^i), gseries.verify_kvadriranje):
 
     w2^b*w3^c  =  sum over 2d+3e = 2*l_i, e > 0, C(d+e,e) odd
-                  of  w2^(b-2^i*(l_i-d)) * w3^(c+2^i*e);
+                  of  w2^(b-2^i*(l_i-d)) * w3^(c+2^i*e).
 
-for n = 6 (no closed form) the children are the Buchberger tail of f_i.
-The bases are homogeneous and each LM is lex-largest, so every child keeps
-the degree and drops b by a positive multiple of 3.  Both routes compile
-into one table of (l0, l1, drops of b // 3) feeding one filler; heap
-division (groebner.normal_form) stays the oracle the tests compare it with.
+Heap division (groebner.normal_form) stays the oracle the tests compare it with.
 A monomial of degree above max_degree is zero: reductions preserve degree.
 
 Normal forms are packed GF(2) rows.  In a fixed degree d the exponent b
@@ -47,8 +48,8 @@ from __future__ import annotations
 from collections.abc import Set
 from typing import NamedTuple
 
-from .groebner import GroebnerBasis, basis_for, binary_profile
-from .poly import Monomial, Poly, lucas_binom_mod2
+from .groebner import GroebnerBasis, basis_for
+from .poly import Monomial, Poly
 
 
 class Heights(NamedTuple):
@@ -116,7 +117,7 @@ class QuotientRing:
         self.basis = StaircaseBasis(c_bound)
         self._rows: dict[int, list[int | None]] = {}
         self._heights: Heights | None = None
-        self._rules = _tail_rules(gb) if n < 7 else _rewrite_rules(n, gb)
+        self._rules = _tail_rules(gb)
 
     def nf_bits(self, b: int, c: int) -> int:
         """Normal form of w2^b*w3^c as a bitmask: bit j stands for the
@@ -212,26 +213,13 @@ class QuotientRing:
 
 
 def _tail_rules(gb: GroebnerBasis) -> tuple:
-    """Rules (l0, l1, djs), first match wins: slot j of degree d, if w2^l0*w3^l1
-    divides its monomial, reduces to the slots j - dj of d; dj from each tail."""
+    """Rules (l0, l1, djs), last basis polynomial first, first match wins: slot
+    j of degree d, if w2^l0*w3^l1 divides its monomial, reduces to the slots
+    j - dj of d, one ascending dj per tail term."""
     return tuple(
-        (*lm, tuple((lm[0] - tb) // 3 for tb, tc in f.terms if (tb, tc) != lm))
-        for lm, f in zip(gb.lms, gb.polys)
+        (*lm, tuple(sorted((lm[0] - tb) // 3 for tb, tc in f.terms if (tb, tc) != lm)))
+        for lm, f in reversed(list(zip(gb.lms, gb.polys)))
     )
-
-
-def _rewrite_rules(n: int, gb: GroebnerBasis) -> tuple:
-    """Closed-form rules for n >= 7, largest i first."""
-    prof = binary_profile(n)
-    rules = []
-    for i in reversed(range(prof.t)):
-        l = prof.l[i]
-        # e even, d = l - 3e/2: b drops by (l - d) << i = 3 * (e/2 << i)
-        djs = tuple(
-            e // 2 << i for e in range(2, 2 * l // 3 + 1, 2) if lucas_binom_mod2(l - e // 2, e)
-        )
-        rules.append((*gb.lms[i], djs))
-    return tuple(rules)
 
 
 _ring_cache: dict[int, QuotientRing] = {}

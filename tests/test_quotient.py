@@ -5,8 +5,8 @@ import random
 import pytest
 
 from w23 import zcl
-from w23.groebner import GroebnerBasis, basis_for, normal_form
-from w23.poly import Poly, deg
+from w23.groebner import GroebnerBasis, basis_for, binary_profile, normal_form
+from w23.poly import Poly, deg, lucas_binom_mod2
 from w23.quotient import (
     Heights,
     QuotientRing,
@@ -125,16 +125,34 @@ def test_generic_rows_match_division_on_w6():
 
 
 def test_tail_rules_match_division():
-    # the generic route on bases with real tails: a fresh ring reducing by the
-    # closed-form polynomials' tails instead of the rewrite rules
+    # the rule table on bases with real tails, against heap division
     rng = random.Random(606)
     for n in (9, 21, 22, 40):
         gb = basis_for(n)
         q = QuotientRing(n, gb)
-        q._rules = _tail_rules(gb)
         for _ in range(150):
             b, c = rng.randrange(2 * n), rng.randrange(n)
             assert q.nf_set(b, c) == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
+
+
+def test_tail_rules_are_the_closed_form_rewrite():
+    # for n >= 7 the tail of f_i drops b // 3 by e/2 << i for every even e > 0
+    # with C(l_i - e/2, e) odd; largest i first
+    for n in range(7, 301):
+        gb = basis_for(n)
+        prof = binary_profile(n)
+        expected = tuple(
+            (
+                *gb.lms[i],
+                tuple(
+                    e // 2 << i
+                    for e in range(2, 2 * prof.l[i] // 3 + 1, 2)
+                    if lucas_binom_mod2(prof.l[i] - e // 2, e)
+                ),
+            )
+            for i in reversed(range(prof.t))
+        )
+        assert _tail_rules(gb) == expected, n
 
 
 def _rectangle_basis(gb):
@@ -189,12 +207,13 @@ def _filled_slots(q):
 
 def test_ring_stays_lazy_through_a_search(monkeypatch):
     # the row slots filled hold only what the walk and the witness reduced,
-    # far below dim(W_1408); nothing of size dim is built
+    # far below dim(W_1408); the rows allocated stay below dim
     monkeypatch.setattr(zcl, "_search_cache", {})
     q = QuotientRing(1408, basis_for(1408))
     assert _filled_slots(q) == 0
     zcl.zcl_search(q)
     assert 0 < _filled_slots(q) < len(q.basis) / 4
+    assert sum(map(len, q._rows.values())) < len(q.basis)
 
 
 def test_ring_rejects_basis_reaching_top_degree():
