@@ -381,19 +381,16 @@ def _table_tc(parser, t_lo: int, t_hi: int) -> View:
 
 
 def cmd_table(args, parser) -> View:
-    if args.range is not None and args.range_flag is not None:
-        parser.error("give the range either positionally or with --range, not both")
-    span = args.range if args.range is not None else args.range_flag
     if args.t is not None and args.which != "tc":
         parser.error("--t is read only by 'table tc'")
     if args.which == "g":
-        return _table_g(parser, *(span or (0, 26)))
-    if span is not None and args.which != "heights":
+        return _table_g(parser, *(args.range or (0, 26)))
+    if args.range is not None and args.which != "heights":
         parser.error(f"'table {args.which}' takes no range")
     if args.which == "small-n":
         return _table_small_n()
     if args.which == "heights":
-        return _table_heights(parser, *(span or (7, 62)))
+        return _table_heights(parser, *(args.range or (7, 62)))
     return _table_tc(parser, *(args.t or (4, 5)))
 
 
@@ -479,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("table", cmd_table, "reproduce a published table", with_csv)
     p.add_argument("which", choices=("g", "small-n", "heights", "tc"))
     p.add_argument("range", type=_range_arg, nargs="?", help="LO..HI (g and heights)")
-    p.add_argument("--range", dest="range_flag", type=_range_arg, help="LO..HI")
     p.add_argument("--t", type=_range_arg, help="level range for tc (default 4..5)")
 
     p = command("verify", cmd_verify, "run a verification suite")

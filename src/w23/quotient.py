@@ -41,6 +41,13 @@ reduced), filled by an explicit-stack depth-first walk over that row's slots:
 only the monomials nf_bits reduced and the basis children it touched are
 filled, never a whole row.  Fills are idempotent (any two computations of a
 slot agree), so readers sharing a ring stay consistent.
+
+nonzero_staircase() is the other shape of the ring, cached on first use:
+top[c], for c = 0..height(w3), is the largest b with w2^b*w3^c != 0.  A
+divisor of a nonzero monomial is nonzero, so these monomials form a
+staircase (w2^b*w3^c != 0 iff c <= h3 and b <= top[c], top non-increasing)
+and one walk down from top[0] = height(w2) reads it in O(h2 + h3) nf_bits
+probes.  The zcl cell test prunes its scan with it.
 """
 
 from __future__ import annotations
@@ -117,6 +124,7 @@ class QuotientRing:
         self.basis = StaircaseBasis(c_bound)
         self._rows: dict[int, list[int | None]] = {}
         self._heights: Heights | None = None
+        self._top: tuple[int, ...] | None = None
         self._rules = _tail_rules(gb)
 
     def nf_bits(self, b: int, c: int) -> int:
@@ -188,6 +196,24 @@ class QuotientRing:
         if self._heights is None:
             self._heights = brute_heights(self)
         return self._heights
+
+    def nonzero_staircase(self) -> tuple[int, ...]:
+        """top[c], c = 0..height(w3): the largest b with w2^b*w3^c != 0.
+
+        The nonzero monomials are closed under division, so w2^b*w3^c != 0
+        exactly when c <= height(w3) and b <= top[c], and top never increases:
+        one walk down from top[0] = height(w2) finds it in O(h2 + h3) probes.
+        """
+        if self._top is None:
+            h2, h3 = self.heights()
+            top = [h2]
+            b = h2
+            for c in range(1, h3 + 1):
+                while not self.nf_bits(b, c):  # w3^c != 0 stops it at b = 0
+                    b -= 1
+                top.append(b)
+            self._top = tuple(top)
+        return self._top
 
     def by_degree(self) -> dict[int, list[Monomial]]:
         """The basis monomials grouped by degree, each row in lex order."""

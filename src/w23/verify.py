@@ -31,7 +31,7 @@ from .groebner import (
     w3_ideal_member,
 )
 from .poly import W3, Poly, deg
-from .quotient import brute_heights, build_quotient, class_nonzero, heights_closed_form
+from .quotient import build_quotient, class_nonzero, heights_closed_form
 from .report import Check
 from .zcl import (
     SMALL_N_ZCL,
@@ -170,7 +170,7 @@ def suite_quotient(t_max: int = 5) -> list[Check]:
         _scan(
             f"brute-force heights match the closed form, 7 <= n <= {n_max}",
             (
-                (f"n={n}", heights_closed_form(n), brute_heights(build_quotient(n)))
+                (f"n={n}", heights_closed_form(n), build_quotient(n).heights())
                 for n in range(7, n_max + 1)
             ),
         ),

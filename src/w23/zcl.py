@@ -26,6 +26,16 @@ piece keeps, per set bit of a left form, the XOR of the right forms paired
 with it; the piece is nonzero iff some row is.  TensorElement and the
 frozenset pieces (_piece_pairs, graded_piece) stay as the reference.
 
+A cell whose balanced piece is zero prunes the rest of its scan with the
+ring's nonzero staircase (QuotientRing.nonzero_staircase): the nonzero
+monomials are closed under division, so a term survives only for the b
+between max(0, beta - top[gamma-c]) and min(beta, top[c]), and the scan
+stops at the largest left degree a surviving term reaches.  The terms it
+skips are the ones the full scan drops after a zero normal form, so every
+answer is unchanged.  The prune waits for a zero balanced piece: most cells
+near the staircase edge end at that piece, and pruning them first cost
+more than it saved.
+
 The (beta, gamma) search walks a staircase instead of the full grid:
 multiplying a zero element by further zero divisors keeps it zero, so
 vanishing is upward-closed in each exponent and the boundary is monotone.
@@ -40,7 +50,6 @@ forces height(z) = 2^(u+1)-1.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 from typing import Callable, Iterable, NamedTuple
@@ -222,16 +231,53 @@ def _scan_degrees(q: QuotientRing, beta: int, gamma: int):
     return range(lo, min(total, q.max_degree) + 1)
 
 
+def _piece_nonzero(nf_bits, beta: int, gamma: int, r: int, spans: list) -> bool:
+    """Whether the left-degree-r piece is nonzero, summing the terms
+    nf(b, c) (x) nf(beta-b, gamma-c) over the spans (c, lo, hi), lo <= b <= hi.
+
+    The piece is held as packed rows: for every left basis monomial (a set
+    bit of some nf_bits), the XOR of the right-hand bitmasks paired with it.
+    """
+    rows: dict[int, int] = {}  # left bit -> XOR of its right bitmasks
+    for c, lo, hi in spans:
+        rem = r - 3 * c
+        if rem & 1:
+            continue
+        b = rem >> 1
+        if b < lo or b > hi or b & ~beta:  # out of the span, or C(beta, b) even
+            continue
+        left = nf_bits(b, c)
+        if not left:
+            continue
+        right = nf_bits(beta - b, gamma - c)
+        if not right:
+            continue
+        while left:
+            low = left & -left
+            rows[low] = rows.get(low, 0) ^ right
+            left ^= low
+    return any(rows.values())
+
+
 def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool:
     """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n.
 
-    Each piece is held as packed rows: for every left basis monomial (a set
-    bit of some nf_bits), the XOR of the right-hand bitmasks paired with it.
+    The balanced piece is scanned over every submask c of gamma.  Only if it
+    is zero is the rest of the scan narrowed by the ring's nonzero staircase
+    top: w2^b*w3^c != 0 iff c <= h3 and b <= top[c], so a term has both
+    factors nonzero iff max(0, beta - top[gamma-c]) <= b <= min(beta, top[c]).
+    This is exact: the terms dropped are those the full scan discards after
+    a zero nf_bits, and no piece above the largest left degree a kept term
+    reaches has a term at all.  Deferring the narrowing keeps its set-up off
+    the cells whose balanced piece is nonzero, most cells near the edge.
     """
     if beta < 0 or gamma < 0:
         raise ValueError("exponents must be nonnegative")
     if beta == 0 and gamma == 0:
         return True
+    degrees = _scan_degrees(q, beta, gamma)
+    if not degrees:
+        return False
     nf_bits = q.nf_bits
     cs = []  # the c with C(gamma, c) odd: the submasks of gamma
     c = gamma
@@ -240,26 +286,21 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
         if not c:
             break
         c = (c - 1) & gamma
-    for r in _scan_degrees(q, beta, gamma):
-        rows: dict[int, int] = {}  # left bit -> XOR of its right bitmasks
-        for c in cs:
-            rem = r - 3 * c
-            if rem < 0 or rem & 1:
-                continue
-            b = rem >> 1
-            if b & ~beta:  # C(beta, b) even, or b > beta
-                continue
-            left = nf_bits(b, c)
-            if not left:
-                continue
-            right = nf_bits(beta - b, gamma - c)
-            if not right:
-                continue
-            while left:
-                low = left & -left
-                rows[low] = rows.get(low, 0) ^ right
-                left ^= low
-        if any(rows.values()):
+    if _piece_nonzero(nf_bits, beta, gamma, degrees[0], [(c, 0, beta) for c in cs]):
+        return True
+    top = q.nonzero_staircase()
+    h3 = len(top) - 1
+    spans = []
+    for c in cs:
+        if c <= h3 and gamma - c <= h3:
+            lo, hi = max(0, beta - top[gamma - c]), min(beta, top[c])
+            if lo <= hi:
+                spans.append((c, lo, hi))
+    if not spans:
+        return False
+    r_hi = min(degrees[-1], max(2 * hi + 3 * c for c, _, hi in spans))
+    for r in range(degrees[0] + 1, r_hi + 1):
+        if _piece_nonzero(nf_bits, beta, gamma, r, spans):
             return True
     return False
 
@@ -427,6 +468,8 @@ def parallel_map(fn: Callable, items: list, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    import multiprocessing  # only a real pool needs it; keeps `import w23` light
+
     with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
         return pool.map(fn, items)
 

@@ -58,7 +58,7 @@ def _stamp(k: int, label: str, t0: float, budget: float | None = None) -> None:
 
 def test_criterion_1_series_table_and_explicit_form(capsys):
     t0 = time.perf_counter()
-    assert main(["table", "g", "--range", "0..26"]) == 0
+    assert main(["table", "g", "0..26"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "table_g.txt").read_text()
     for r in range(513):
         assert g_recurrence(r) == g_explicit(r), r

@@ -29,15 +29,19 @@ def run(capsys, *argv):
 
 
 def test_table_g_matches_golden(capsys):
-    code, out = run(capsys, "table", "g", "--range", "0..26")
+    code, out = run(capsys, "table", "g", "0..26")
     assert code == 0
     assert out == (GOLDEN / "table_g.txt").read_text()
 
 
 def test_table_g_positional_range(capsys):
-    _, flagged = run(capsys, "table", "g", "--range", "0..5")
+    # LO..HI is the one spelling of the range; the default is 0..26
     _, positional = run(capsys, "table", "g", "0..5")
-    assert flagged == positional
+    _, default = run(capsys, "table", "g")
+    assert positional.splitlines() == default.splitlines()[:6]
+    with pytest.raises(SystemExit) as err:
+        main(["table", "g", "--range", "0..5"])
+    assert err.value.code == 2
 
 
 def test_g_single(capsys):

@@ -216,6 +216,22 @@ def test_ring_stays_lazy_through_a_search(monkeypatch):
     assert sum(map(len, q._rows.values())) < len(q.basis)
 
 
+def test_nonzero_staircase_matches_box_scan():
+    # top[c] against nf_bits over the whole box past both heights
+    for n in range(6, 65):
+        q = QuotientRing(n, basis_for(n))
+        h2, h3 = q.heights()
+        top = q.nonzero_staircase()
+        assert len(top) == h3 + 1 and top[0] == h2, n
+        assert all(a >= b for a, b in zip(top, top[1:])), n
+        for c, b in enumerate(top):
+            assert q.nf_bits(b, c) and not q.nf_bits(b + 1, c), (n, c)
+        for b in range(h2 + 2):
+            for c in range(h3 + 2):
+                assert bool(q.nf_bits(b, c)) == (c <= h3 and b <= top[c]), (n, b, c)
+        assert q.nonzero_staircase() is top  # cached on the ring
+
+
 def test_ring_rejects_basis_reaching_top_degree():
     # the basis of I_20 leaves monomials of degree >= 3*9-9 standing
     with pytest.raises(RuntimeError):

@@ -1,6 +1,11 @@
 """Tensor-square algebra and the cup-length search."""
 
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +236,36 @@ def test_packed_cells_match_tensor_product():
             col = col * z3
 
 
+def test_pruned_cells_match_pieces():
+    # every cell of the capped grid: the cell test, which narrows its scan by
+    # the nonzero staircase once the balanced piece is zero, against the
+    # frozenset pieces over every scanned degree.  A cell right of or above a
+    # vanishing cell vanishes too (zero times z(w2) or z(w3) is zero), so the
+    # pieces are needed only up to the vanishing frontier.
+    late = 0  # nonzero cells whose balanced piece is zero
+    for n in (*range(6, 41), 100, 127, 200):
+        q = build_quotient(n)
+        h2, h3 = q.heights()
+        vanishing = set()
+        for gamma in range(_zcap(h3) + 1):
+            for beta in range(_zcap(h2) + 1):
+                if (beta - 1, gamma) in vanishing or (beta, gamma - 1) in vanishing:
+                    want = False
+                else:
+                    pieces = (
+                        any(_piece_pairs(q, beta, gamma, r).values())
+                        for r in _scan_degrees(q, beta, gamma)
+                    )
+                    want = next(pieces, False)
+                    if not want and any(pieces):
+                        want = True
+                        late += 1
+                assert zero_divisor_product_nonzero(q, beta, gamma) == want, (n, beta, gamma)
+                if not want:
+                    vanishing.add((beta, gamma))
+    assert late > 1000
+
+
 def _unpruned_search(q):
     """The staircase walked to every row's exact boundary, cells tested on
     frozenset pieces: the reference for the bounded walk."""
@@ -307,7 +342,7 @@ class _RecordingContext:
 
 def test_parallel_map_clamps_pool_size(monkeypatch):
     ctx = _RecordingContext()
-    monkeypatch.setattr(zcl_module.multiprocessing, "get_context", ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", ctx)
     monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 4)
     assert parallel_map(abs, [-1, -2, -3], jobs=10**9) == [1, 2, 3]
     assert parallel_map(abs, list(range(-10, 0)), jobs=10**9) == list(range(10, 0, -1))
@@ -322,9 +357,23 @@ def test_parallel_map_clamps_pool_size(monkeypatch):
         parallel_map(abs, [1], jobs=0)
 
 
+def test_import_leaves_pool_and_cli_unloaded():
+    # only a real pool imports multiprocessing, and only the entry point imports cli
+    src = str(Path(zcl_module.__file__).resolve().parents[1])
+    probe = "import sys, w23; print('multiprocessing' in sys.modules, 'w23.cli' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False False\n"
+
+
 def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
     ctx = _RecordingContext()
-    monkeypatch.setattr(zcl_module.multiprocessing, "get_context", ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", ctx)
     monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 8)
     cache_dir = str(tmp_path / "cache")
     assert main(["zcl-range", "6", "8", "--jobs", "64", "--cache-dir", cache_dir]) == 0
