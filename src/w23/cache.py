@@ -1,4 +1,5 @@
-"""Resumable result cache: one JSON file per (kind, n).
+"""Resumable result cache: one JSON file per (kind, n).  A sweep stores each
+n as its result arrives, so a rerun of an interrupted sweep resumes after it.
 
 Every payload carries a schema_version stamp; entries written by an older
 schema are treated as absent and recomputed rather than migrated.  Entries

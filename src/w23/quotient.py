@@ -248,16 +248,11 @@ def _tail_rules(gb: GroebnerBasis) -> tuple:
     )
 
 
-_ring_cache: dict[int, QuotientRing] = {}
-
-
 def build_quotient(n: int) -> QuotientRing:
+    """A fresh W_n.  Nothing keeps it: a caller that reuses a ring keeps it."""
     if n < 6:
         raise ValueError("quotient rings are built for n >= 6")
-    ring = _ring_cache.get(n)
-    if ring is None:
-        ring = _ring_cache.setdefault(n, QuotientRing(n, basis_for(n)))
-    return ring
+    return QuotientRing(n, basis_for(n))
 
 
 def nf_monomial(q: QuotientRing, b: int, c: int) -> Poly:
@@ -270,14 +265,19 @@ def class_nonzero(q: QuotientRing, b: int, c: int) -> bool:
 
 
 def brute_heights(q: QuotientRing) -> Heights:
-    """Heights of w2 and w3 in W_n by raising to powers until zero."""
-    h2 = 1
-    while q.nf_bits(h2 + 1, 0):
-        h2 += 1
-    h3 = 1
-    while q.nf_bits(0, h3 + 1):
-        h3 += 1
-    return Heights(h2, h3)
+    """Heights of w2 and w3 in W_n by bisection on nf_bits probes of powers:
+    w^k = 0 implies w^(k+1) = 0, and no power above max_degree is nonzero."""
+    found = []
+    for db, dc in ((1, 0), (0, 1)):
+        lo, hi = 1, q.max_degree // (2 * db + 3 * dc)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if q.nf_bits(db * mid, dc * mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        found.append(lo)
+    return Heights(*found)
 
 
 def heights_closed_form(n: int) -> Heights:

@@ -3,16 +3,18 @@
 Each suite returns a list of Check records and is deterministic (random
 sampling is seeded, parallel runs merge in n order).  `t_max` scales the
 n ranges: a suite covers levels up to t_max, i.e. n <= 2^(t_max+1) - 2.
+Suites are called as suite(t_max, sweep).  sweep() gives the rows of one
+zcl_range(6, n_max) per run_suites call, shared by the zcl and bounds suites.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable, Iterable
 
 from . import bounds as bounds_mod
 from .gseries import (
-    GSeries,
     g_explicit,
     g_recurrence,
     verify_doubling,
@@ -55,7 +57,7 @@ def _scan(name: str, triples: Iterable[tuple]) -> Check:
     return Check(name, True)
 
 
-def suite_g_series(t_max: int = 5) -> list[Check]:
+def suite_g_series(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     checks = [
         _scan(
             "recurrence matches the explicit binomial form for r <= 512",
@@ -110,7 +112,7 @@ def suite_g_series(t_max: int = 5) -> list[Check]:
     return checks
 
 
-def suite_groebner(t_max: int = 5) -> list[Check]:
+def suite_groebner(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     n_max = _n_max(t_max)
     checks = [
         _scan(
@@ -164,7 +166,7 @@ def suite_groebner(t_max: int = 5) -> list[Check]:
     return checks
 
 
-def suite_quotient(t_max: int = 5) -> list[Check]:
+def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     n_max = _n_max(t_max)
     checks = [
         _scan(
@@ -231,9 +233,9 @@ def suite_quotient(t_max: int = 5) -> list[Check]:
     return checks
 
 
-def suite_zcl(t_max: int = 5, jobs: int = 1) -> list[Check]:
+def suite_zcl(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     n_max = _n_max(t_max)
-    rows = zcl_range(6, n_max, jobs=jobs)
+    rows = sweep()
     checks = [
         _scan(
             "zcl(W_n) for n = 6..14 matches the small-n table",
@@ -268,12 +270,12 @@ def suite_zcl(t_max: int = 5, jobs: int = 1) -> list[Check]:
     return checks
 
 
-def suite_bounds(t_max: int = 5, jobs: int = 1) -> list[Check]:
+def suite_bounds(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     n_max = _n_max(t_max)
     checks = []
     for t in range(4, 11):
         checks += bounds_mod.verify_ineq_arithmetic(t)
-    computed = {n: v for n, v, _, _ in zcl_range(15, n_max, jobs=jobs)}
+    computed = {n: v for n, v, _, _ in sweep() if n >= 15}
     checks.append(
         _scan(
             f"bounds rows agree between searched and closed-form zcl, 15 <= n <= {n_max}",
@@ -324,16 +326,17 @@ def suite_bounds(t_max: int = 5, jobs: int = 1) -> list[Check]:
 
 
 SUITES: dict[str, Callable[..., list[Check]]] = {
-    "g-series": lambda t_max, jobs: suite_g_series(t_max),
-    "groebner": lambda t_max, jobs: suite_groebner(t_max),
-    "quotient": lambda t_max, jobs: suite_quotient(t_max),
+    "g-series": suite_g_series,
+    "groebner": suite_groebner,
+    "quotient": suite_quotient,
     "zcl": suite_zcl,
     "bounds": suite_bounds,
 }
 
 
 def run_suites(names: Iterable[str], t_max: int = 5, jobs: int = 1) -> list[Check]:
+    sweep = cache(lambda: zcl_range(6, _n_max(t_max), jobs=jobs))
     checks = []
     for name in names:
-        checks += SUITES[name](t_max, jobs)
+        checks += SUITES[name](t_max, sweep)
     return checks

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .poly import Monomial, Poly, lucas_binom_mod2
 from .quotient import QuotientRing, build_quotient
@@ -318,9 +318,6 @@ def _zcap(h: int) -> int:
     return (1 << h.bit_length()) - 1
 
 
-_search_cache: dict[int, ZclResult] = {}
-
-
 def _witness(q: QuotientRing, beta: int, gamma: int) -> ZclResult:
     for r in _scan_degrees(q, beta, gamma):
         acc = _piece_pairs(q, beta, gamma, r)
@@ -341,11 +338,8 @@ def zcl_search(q: QuotientRing) -> ZclResult:
     value only changes on a strict improvement, so the final cell is the
     first maximal cell in this walk; the witness is built once, for it: its
     first nonzero left degree in scan order, and the lexicographically least
-    surviving pair there.
+    surviving pair there.  Nothing is cached: each call walks again.
     """
-    got = _search_cache.get(q.n)
-    if got is not None:
-        return got
     h2, h3 = q.heights()
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
@@ -360,8 +354,7 @@ def zcl_search(q: QuotientRing) -> ZclResult:
             break
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
-    result = _search_cache[q.n] = _witness(q, best[1], best[2])
-    return result
+    return _witness(q, best[1], best[2])
 
 
 def zcl_wn(q: QuotientRing) -> int:
@@ -453,25 +446,28 @@ def verify_upper_bound_lemmas(t: int) -> list[Check]:
 
 
 def search_n(n: int) -> ZclResult:
-    """zcl_search on W_n; a module-level function, so workers can run it."""
+    """zcl_search on a fresh W_n, dropped after; module-level, so workers can run it."""
     return zcl_search(build_quotient(n))
 
 
-def parallel_map(fn: Callable, items: list, jobs: int) -> list:
-    """[fn(x) for x in items], in at most `jobs` spawned worker processes.
-
+def parallel_map(fn: Callable, items: list, jobs: int) -> Iterator:
+    """fn(x) for x in items, yielded in item order as each result arrives,
+    from at most `jobs` spawned worker processes; `jobs` is checked at once.
     The pool is clamped to the CPU count and to the number of items; with
-    one worker left, fn runs in this process and nothing is spawned.
+    one worker left, fn runs lazily in this process and nothing is spawned.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        return [fn(x) for x in items]
-    import multiprocessing  # only a real pool needs it; keeps `import w23` light
+        return map(fn, items)
+    return _pool_imap(fn, items, workers)
 
+
+def _pool_imap(fn: Callable, items: list, workers: int) -> Iterator:
+    import multiprocessing  # only a real pool needs it; keeps `import w23` light
     with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
-        return pool.map(fn, items)
+        yield from pool.imap(fn, items)
 
 
 def zcl_range(lo: int, hi: int, jobs: int = 1) -> list[tuple]:

@@ -18,7 +18,7 @@ from w23.cli import _decode_zcl, main
 from w23.groebner import closed_form_basis
 from w23.poly import Poly
 from w23.quotient import build_quotient
-from w23.zcl import SMALL_N_ZCL, ZclResult
+from w23.zcl import SMALL_N_ZCL, ZclResult, search_n
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,6 +191,23 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_module, "search_n", no_search)
     _, out = run(capsys, "zcl", "7", "--witness", "--cache-dir", str(cache_dir))
     assert out.startswith("zcl(W_7) = 7\nwitness: beta=7 gamma=0 r=8 ")
+
+
+def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
+    # an interrupted sweep keeps every n finished before the interruption
+    cache_dir = tmp_path / "cache"
+
+    def search_until_20(n):
+        if n == 20:
+            raise KeyboardInterrupt
+        return search_n(n)
+
+    monkeypatch.setattr(cli_module, "search_n", search_until_20)
+    with pytest.raises(KeyboardInterrupt):
+        main(["zcl-range", "6", "30", "--cache-dir", str(cache_dir)])
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+        f"zcl-{n}.json" for n in range(6, 20)
+    )
 
 
 def _zcl7_payload(**witness):
@@ -394,6 +411,29 @@ def test_package_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_process_wide_caches_are_the_documented_two():
+    # module-level private containers or objects outlive every call; the
+    # policy allows the g-series and the Groebner bases, both small
+    package = Path(cli_module.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            kinds = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.Call)
+            if not isinstance(node.value, kinds):
+                continue
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.startswith("_") and not name.startswith("__"):
+                    found.append(f"{path.stem}.{name}")
+    assert found == ["groebner._basis_cache", "gseries._shared"]
 
 
 def test_verify_passes_under_optimize():

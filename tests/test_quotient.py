@@ -205,10 +205,9 @@ def _filled_slots(q):
     return sum(got is not None for row in q._rows.values() for got in row)
 
 
-def test_ring_stays_lazy_through_a_search(monkeypatch):
+def test_ring_stays_lazy_through_a_search():
     # the row slots filled hold only what the walk and the witness reduced,
     # far below dim(W_1408); the rows allocated stay below dim
-    monkeypatch.setattr(zcl, "_search_cache", {})
     q = QuotientRing(1408, basis_for(1408))
     assert _filled_slots(q) == 0
     zcl.zcl_search(q)
@@ -282,6 +281,24 @@ def test_heights_brute_vs_closed_small():
     for n in range(7, 41):
         q = build_quotient(n)
         assert q.heights() == heights_closed_form(n), n
+
+
+def _linear_heights(q):
+    # the walk brute_heights used before bisection: raise until zero
+    h2 = 1
+    while q.nf_bits(h2 + 1, 0):
+        h2 += 1
+    h3 = 1
+    while q.nf_bits(0, h3 + 1):
+        h3 += 1
+    return Heights(h2, h3)
+
+
+def test_bisected_heights_match_closed_form_and_linear_walk():
+    for n in range(6, 65):
+        assert brute_heights(build_quotient(n)) == _linear_heights(build_quotient(n)), n
+    for n in (*range(7, 301), 1022, 2046):
+        assert brute_heights(build_quotient(n)) == heights_closed_form(n), n
 
 
 def test_powers_vanish_beyond_height():

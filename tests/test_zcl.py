@@ -15,6 +15,7 @@ from w23.groebner import basis_for
 from w23.poly import W2, W3, Poly
 from w23.quotient import QuotientRing, build_quotient
 from w23.report import failures
+from w23.verify import run_suites
 from w23.zcl import (
     SMALL_N_ZCL,
     TensorElement,
@@ -292,7 +293,6 @@ def test_bounded_walk_matches_unpruned_staircase():
 
 
 def test_search_raises_when_the_unit_cell_vanishes(monkeypatch):
-    monkeypatch.setattr(zcl_module, "_search_cache", {})
     monkeypatch.setattr(zcl_module, "zero_divisor_product_nonzero", lambda q, b, c: False)
     with pytest.raises(RuntimeError):
         zcl_search(QuotientRing(9, basis_for(9)))
@@ -305,15 +305,14 @@ def test_search_builds_one_witness(monkeypatch):
         calls.append((q.n, beta, gamma))
         return _witness(q, beta, gamma)
 
-    monkeypatch.setattr(zcl_module, "_search_cache", {})
     monkeypatch.setattr(zcl_module, "_witness", counted)
     for n in (21, 440, 1408):
         calls.clear()
-        q = QuotientRing(n, basis_for(n))  # not kept in the ring cache
+        q = QuotientRing(n, basis_for(n))
         res = zcl_search(q)
         assert calls == [(n, res.beta, res.gamma)], n
-        zcl_search(q)  # served from the search cache
-        assert len(calls) == 1, n
+        assert zcl_search(q) == res  # a second search builds a second witness
+        assert calls == [(n, res.beta, res.gamma)] * 2, n
 
 
 class _RecordingContext:
@@ -336,25 +335,55 @@ class _RecordingContext:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return [fn(x) for x in items]
+    def imap(self, fn, items):
+        return map(fn, items)
 
 
 def test_parallel_map_clamps_pool_size(monkeypatch):
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", ctx)
     monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 4)
-    assert parallel_map(abs, [-1, -2, -3], jobs=10**9) == [1, 2, 3]
-    assert parallel_map(abs, list(range(-10, 0)), jobs=10**9) == list(range(10, 0, -1))
-    assert parallel_map(abs, list(range(10)), jobs=2) == list(range(10))
+    assert list(parallel_map(abs, [-1, -2, -3], jobs=10**9)) == [1, 2, 3]
+    assert list(parallel_map(abs, list(range(-10, 0)), jobs=10**9)) == list(range(10, 0, -1))
+    assert list(parallel_map(abs, list(range(10)), jobs=2)) == list(range(10))
     assert ctx.processes == [3, 4, 2]
     assert set(ctx.methods) == {"spawn"}
     # one worker, or one item, runs here without a pool
-    assert parallel_map(abs, [-5], jobs=8) == [5]
-    assert parallel_map(abs, [-1, -2], jobs=1) == [1, 2]
+    assert list(parallel_map(abs, [-5], jobs=8)) == [5]
+    assert list(parallel_map(abs, [-1, -2], jobs=1)) == [1, 2]
     assert ctx.processes == [3, 4, 2]
     with pytest.raises(ValueError):
         parallel_map(abs, [1], jobs=0)
+
+
+def test_sweep_keeps_no_ring_alive():
+    # a fresh process, so no other test's rings are counted
+    src = str(Path(zcl_module.__file__).resolve().parents[1])
+    probe = (
+        "import gc; from w23.quotient import QuotientRing; from w23.zcl import zcl_range;"
+        " rows = zcl_range(6, 100); gc.collect();"
+        " print(len(rows), sum(isinstance(o, QuotientRing) for o in gc.get_objects()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "95 0\n"
+
+
+def test_verify_runs_one_sweep(monkeypatch):
+    searched = []
+
+    def counted(q):
+        searched.append(q.n)
+        return zcl_search(q)
+
+    monkeypatch.setattr(zcl_module, "zcl_search", counted)
+    assert failures(run_suites(["zcl", "bounds"], t_max=4)) == []
+    assert searched == list(range(6, 31))
 
 
 def test_import_leaves_pool_and_cli_unloaded():
