@@ -25,7 +25,6 @@ from .groebner import (
     basis_for,
     buchberger,
     binary_profile,
-    closed_form_basis,
     ideal_member,
     normal_form,
     reduce_basis,
@@ -120,7 +119,7 @@ def suite_groebner(t_max: int, sweep: Callable[[], list]) -> list[Check]:
             (
                 (
                     f"n={n}",
-                    reduce_basis(closed_form_basis(n)).polys,
+                    reduce_basis(basis_for(n)).polys,
                     reduce_basis(
                         buchberger(
                             [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)],
@@ -136,7 +135,7 @@ def suite_groebner(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     def lm_formula():
         for n in range(7, n_max + 1):
             prof = binary_profile(n)
-            for i, lm in enumerate(closed_form_basis(n).lms):
+            for i, lm in enumerate(basis_for(n).lms):
                 expected = (
                     prof.l[i] << i,
                     prof.alpha[i] * prof.s_prev(i) + (1 << i) - 1,
@@ -168,23 +167,24 @@ def suite_groebner(t_max: int, sweep: Callable[[], list]) -> list[Check]:
 
 def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     n_max = _n_max(t_max)
+    top = min(n_max, 64)
+    # the checks on n <= 64 share one ring per n; larger rings are built,
+    # read once and dropped
+    small = {n: build_quotient(n) for n in range(6, top + 1)}
     checks = [
         _scan(
             f"brute-force heights match the closed form, 7 <= n <= {n_max}",
             (
-                (f"n={n}", heights_closed_form(n), build_quotient(n).heights())
+                (f"n={n}", heights_closed_form(n), ring.heights())
                 for n in range(7, n_max + 1)
+                for ring in [small[n] if n <= top else build_quotient(n)]
             ),
         ),
         _scan(
-            f"every basis monomial sits below the top dimension 3n-9, 6 <= n <= {min(n_max, 64)}",
+            f"every basis monomial sits below the top dimension 3n-9, 6 <= n <= {top}",
             (
-                (
-                    f"n={n}",
-                    True,
-                    all(deg(m) < 3 * n - 9 for m in build_quotient(n).basis),
-                )
-                for n in range(6, min(n_max, 64) + 1)
+                (f"n={n}", True, all(deg(m) < 3 * n - 9 for m in q.basis))
+                for n, q in small.items()
             ),
         ),
     ]
@@ -194,7 +194,7 @@ def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
         for n in (7, 12, 15, 21, 22, 27, 33, 48):
             if n > n_max:
                 continue
-            q = build_quotient(n)
+            q = small[n]
             gb = basis_for(n)
             for _ in range(200):
                 b, c = rng.randrange(2 * n), rng.randrange(n)
@@ -209,9 +209,9 @@ def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     )
 
     def band_classes():
-        for n in range(7, min(n_max, 64) + 1):
+        for n in range(7, top + 1):
             t = (n + 1).bit_length() - 1
-            q = build_quotient(n)
+            q = small[n]
             for s in range(1, t - 1):
                 if (2 << t) - (2 << s) + 1 <= n <= (2 << t) - (1 << s):
                     yield (
@@ -226,7 +226,7 @@ def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
 
     checks.append(
         _scan(
-            f"the band classes w2^(2^(t+1)-3*2^s-1)*w3^(n-2^(t+1)+2^(s+1)-1) survive, n <= {min(n_max, 64)}",
+            f"the band classes w2^(2^(t+1)-3*2^s-1)*w3^(n-2^(t+1)+2^(s+1)-1) survive, n <= {top}",
             band_classes(),
         )
     )
@@ -240,11 +240,16 @@ def suite_zcl(t_max: int, sweep: Callable[[], list]) -> list[Check]:
         _scan(
             "zcl(W_n) for n = 6..14 matches the small-n table",
             ((f"n={n}", SMALL_N_ZCL[n], v) for n, v, _, _ in rows if n <= 14),
-        ),
-        _scan(
-            f"searched zcl(W_n) matches the closed form, 15 <= n <= {n_max}",
-            ((f"n={n}", zcl_closed_form(n), v) for n, v, _, _ in rows if n >= 15),
-        ),
+        )
+    ]
+    if n_max >= 15:  # the closed form starts in level 4
+        checks.append(
+            _scan(
+                f"searched zcl(W_n) matches the closed form, 15 <= n <= {n_max}",
+                ((f"n={n}", zcl_closed_form(n), v) for n, v, _, _ in rows if n >= 15),
+            )
+        )
+    checks += [
         _scan(
             f"zcl(W_n) never decreases in n, 6 <= n <= {n_max}",
             (
@@ -275,44 +280,41 @@ def suite_bounds(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     checks = []
     for t in range(4, 11):
         checks += bounds_mod.verify_ineq_arithmetic(t)
-    computed = {n: v for n, v, _, _ in sweep() if n >= 15}
-    checks.append(
-        _scan(
-            f"bounds rows agree between searched and closed-form zcl, 15 <= n <= {n_max}",
-            (
+    if t_max >= 4:  # the bounds start at n = 15, in level 4
+        computed = {n: v for n, v, _, _ in sweep() if n >= 15}
+        checks += [
+            _scan(
+                f"bounds rows agree between searched and closed-form zcl, 15 <= n <= {n_max}",
                 (
-                    f"n={n}",
-                    bounds_mod.bounds_row(n, zcl_closed_form(n)),
-                    bounds_mod.bounds_row(n, computed[n]),
-                )
-                for n in range(15, n_max + 1)
+                    (
+                        f"n={n}",
+                        bounds_mod.bounds_row(n, zcl_closed_form(n)),
+                        bounds_mod.bounds_row(n, computed[n]),
+                    )
+                    for n in range(15, n_max + 1)
+                ),
             ),
-        )
-    )
-    checks.append(
-        _scan(
-            f"TC table rows agree between searched and closed-form zcl, t = 4..{max(t_max, 4)}",
-            (
+            _scan(
+                f"TC table rows agree between searched and closed-form zcl, t = 4..{t_max}",
                 (
-                    f"t={t}",
-                    bounds_mod.tc_table_rows(t),
-                    bounds_mod.tc_table_rows(t, zcl_fn=computed.__getitem__),
-                )
-                for t in range(4, max(t_max, 4) + 1)
+                    (
+                        f"t={t}",
+                        bounds_mod.tc_table_rows(t),
+                        bounds_mod.tc_table_rows(t, zcl_fn=computed.__getitem__),
+                    )
+                    for t in range(4, t_max + 1)
+                ),
             ),
-        )
-    )
-    checks.append(
-        _scan(
-            f"|a| < |b| and |a| + |b| = 3n - 5 whenever b exists, 15 <= n <= {n_max}",
-            (
-                (f"n={n}", True, a < b and a + b == 3 * n - 5)
-                for n in range(15, n_max + 1)
-                for a, b in [bounds_mod.exceptional_degrees(n)]
-                if b is not None
+            _scan(
+                f"|a| < |b| and |a| + |b| = 3n - 5 whenever b exists, 15 <= n <= {n_max}",
+                (
+                    (f"n={n}", True, a < b and a + b == 3 * n - 5)
+                    for n in range(15, n_max + 1)
+                    for a, b in [bounds_mod.exceptional_degrees(n)]
+                    if b is not None
+                ),
             ),
-        )
-    )
+        ]
     checks.append(
         _scan(
             "both readings of the first exactness edge admit the same n, t = 4..12",

@@ -41,6 +41,12 @@ multiplying a zero element by further zero divisors keeps it zero, so
 vanishing is upward-closed in each exponent and the boundary is monotone.
 It is also bounded: a row stops at the floor best - gamma, below which no
 cell beats the best value so far, and the walk ends once no later row can.
+Where the boundary runs flat the walk gallops: once (beta, gamma) is
+nonzero, it finds the last nonzero gamma' at that beta by probes at
+doubling distances and a bisection, then resumes one row higher at
+beta - 1.  Each skipped row would have found beta nonzero, a strict
+improvement, so the final cell is the row-by-row walk's.  At W_1408, where
+the staircase is one flat row, that is 18 cells tested instead of 512.
 The walk tracks only the best cell's (value, beta, gamma); the witness, on
 frozenset pieces, is built once, for the final cell.
 Exponent caps come from the heights of w2 and w3: an element of height h
@@ -327,6 +333,33 @@ def _witness(q: QuotientRing, beta: int, gamma: int) -> ZclResult:
     raise AssertionError("witness requested for a vanishing product")
 
 
+def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int) -> int:
+    """The largest g <= gamma_cap with (beta, g) nonzero, given (beta, gamma)
+    nonzero.  Exact, as vanishing is upward-closed in gamma.
+
+    It gallops, probing the next multiple of 1, 2, 4, ... above the last
+    nonzero gamma until a cell vanishes or the cap is passed, then bisects
+    at the multiple of the largest power of two inside the interval.  A
+    vanishing cell scans every submask of gamma, so probes with few bits
+    set keep it cheap: at W_1022, probing (1023, 511) cost more than all
+    512 nonzero cells of its row.
+    """
+    lo, hi, k = gamma, gamma_cap + 1, 0  # (beta, lo) nonzero; (beta, hi) vanishes
+    probe = lo + 1
+    while probe < hi and zero_divisor_product_nonzero(q, beta, probe):
+        lo, k = probe, k + 1
+        probe = ((lo >> k) + 1) << k  # the next multiple of 2^k above lo
+    hi = min(hi, probe)
+    while hi - lo > 1:
+        m = (lo ^ (hi - 1)).bit_length() - 1
+        mid = (hi - 1) >> m << m  # lo < mid < hi, with the most trailing zeros
+        if zero_divisor_product_nonzero(q, beta, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def zcl_search(q: QuotientRing) -> ZclResult:
     """Branch-and-bound staircase maximum of beta+gamma, with one witness.
 
@@ -336,22 +369,35 @@ def zcl_search(q: QuotientRing) -> ZclResult:
     best value, and the beta it stops at still bounds the next row.  The
     walk ends once no remaining row can beat the best value.  The best
     value only changes on a strict improvement, so the final cell is the
-    first maximal cell in this walk; the witness is built once, for it: its
-    first nonzero left degree in scan order, and the lexicographically least
-    surviving pair there.  Nothing is cached: each call walks again.
+    first maximal cell in this walk.
+
+    A row that finds a nonzero cell gallops up its column (_row_end) to the
+    last nonzero gamma at that beta and goes on one row above it at
+    beta - 1.  Walking row by row, each skipped row would have found that
+    beta nonzero, a strict improvement every time, and the row above would
+    have stopped at its floor beta - 1; so the final cell and the result
+    are the same.
+
+    The witness is built once, for the final cell: its first nonzero left
+    degree in scan order, and the lexicographically least surviving pair
+    there.  Nothing is cached: each call walks again.
     """
     h2, h3 = q.heights()
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
     best: tuple[int, int, int] | None = None  # (value, beta, gamma)
-    for gamma in range(gamma_cap + 1):
+    gamma = 0
+    while gamma <= gamma_cap:
         floor = -1 if best is None else max(best[0] - gamma, -1)
         while beta > floor and not zero_divisor_product_nonzero(q, beta, gamma):
             beta -= 1
         if beta > floor:
+            gamma = _row_end(q, beta, gamma, gamma_cap)
             best = (beta + gamma, beta, gamma)
+            beta -= 1  # (beta, gamma + 1) vanishes or lies past the cap
         if best is None or beta < 0 or best[0] >= beta + gamma_cap:
             break
+        gamma += 1
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
     return _witness(q, best[1], best[2])

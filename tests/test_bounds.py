@@ -15,6 +15,8 @@ from w23.bounds import (
     verify_ineq_arithmetic,
 )
 from w23.quotient import build_quotient, heights_closed_form
+from w23.report import failures
+from w23.verify import run_suites
 from w23.zcl import zcl_closed_form, zcl_wn
 
 
@@ -206,3 +208,12 @@ def test_tc_table_computed_zcl_matches_closed_form():
 def test_tc_table_rejects_nonconstant_bands():
     with pytest.raises(RuntimeError):
         tc_table_rows(4, zcl_fn=lambda n: n)
+
+
+def test_bounds_suite_at_level_3():
+    # the sweep stops at n = 14; the checks on searched zcl start at n = 15
+    checks = run_suites(["bounds"], t_max=3)
+    assert checks and failures(checks) == []
+    assert not any("searched" in c.name for c in checks)
+    labels = [c.name for c in run_suites(["bounds"], t_max=4)]
+    assert "TC table rows agree between searched and closed-form zcl, t = 4..4" in labels

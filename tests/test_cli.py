@@ -314,6 +314,15 @@ def test_verify_bounds_suite(capsys):
     assert "0 failures" in out
 
 
+def test_verify_t_max_3_exits_0(capsys):
+    # level 3 ends at n = 14, below the bounds' n >= 15: no check may need a
+    # searched zcl beyond the sweep, nor claim an empty range
+    for suite in ("bounds", "all"):
+        code, out = run(capsys, "verify", suite, "--t-max", "3")
+        assert code == 0, suite
+        assert "0 failures" in out and "15 <= n <= 14" not in out, suite
+
+
 def test_verify_json_shape(capsys):
     code, out = run(capsys, "verify", "g-series", "--format", "json")
     assert code == 0

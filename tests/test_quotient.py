@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from w23 import zcl
+from w23 import verify, zcl
 from w23.groebner import GroebnerBasis, basis_for, binary_profile, normal_form
 from w23.poly import Poly, deg, lucas_binom_mod2
 from w23.quotient import (
@@ -17,6 +17,7 @@ from w23.quotient import (
     heights_closed_form,
     nf_monomial,
 )
+from w23.report import failures
 
 
 def monomials_of_degree(r):
@@ -211,8 +212,20 @@ def test_ring_stays_lazy_through_a_search():
     q = QuotientRing(1408, basis_for(1408))
     assert _filled_slots(q) == 0
     zcl.zcl_search(q)
-    assert 0 < _filled_slots(q) < len(q.basis) / 4
+    assert 0 < _filled_slots(q) < len(q.basis) / 16
     assert sum(map(len, q._rows.values())) < len(q.basis)
+
+
+def test_quotient_suite_builds_one_ring_per_n(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return build_quotient(n)
+
+    monkeypatch.setattr(verify, "build_quotient", counted)
+    assert failures(verify.run_suites(["quotient"], t_max=5)) == []
+    assert sorted(built) == list(range(6, 63))
 
 
 def test_nonzero_staircase_matches_box_scan():

@@ -292,6 +292,47 @@ def test_bounded_walk_matches_unpruned_staircase():
         assert zcl_search(q) == _unpruned_search(q), n
 
 
+def _row_by_row_search(q):
+    """The bounded walk without the gallop, one cell per row where the
+    boundary runs flat: the reference for zcl_search's result."""
+    h2, h3 = q.heights()
+    gamma_cap = _zcap(h3)
+    beta = _zcap(h2)
+    best = None
+    for gamma in range(gamma_cap + 1):
+        floor = -1 if best is None else max(best[0] - gamma, -1)
+        while beta > floor and not zero_divisor_product_nonzero(q, beta, gamma):
+            beta -= 1
+        if beta > floor:
+            best = (beta + gamma, beta, gamma)
+        if best is None or beta < 0 or best[0] >= beta + gamma_cap:
+            break
+    return _witness(q, best[1], best[2])
+
+
+def test_galloping_walk_matches_row_by_row_walk():
+    for n in (*range(6, 255), 1408, 1535):
+        q = build_quotient(n)
+        assert zcl_search(q) == _row_by_row_search(q), n
+
+
+def test_flat_row_is_galloped(monkeypatch):
+    # at the end of level 10 the staircase is one flat row of 512 nonzero
+    # cells; the gallop and bisection test a handful of them
+    cells = []
+
+    def counted(q, beta, gamma):
+        cells.append((beta, gamma))
+        return zero_divisor_product_nonzero(q, beta, gamma)
+
+    monkeypatch.setattr(zcl_module, "zero_divisor_product_nonzero", counted)
+    for n in (1408, 1535):
+        cells.clear()
+        res = zcl_search(build_quotient(n))
+        assert (res.value, res.beta, res.gamma) == (1534, 1023, 511), n
+        assert len(cells) <= 32, (n, len(cells))
+
+
 def test_search_raises_when_the_unit_cell_vanishes(monkeypatch):
     monkeypatch.setattr(zcl_module, "zero_divisor_product_nonzero", lambda q, b, c: False)
     with pytest.raises(RuntimeError):
