@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gseries import g_explicit, g_recurrence
+from .gseries import g_recurrence
 from .poly import Monomial, Poly
 from .report import Check
 
@@ -95,16 +95,12 @@ def closed_form_basis(n: int) -> GroebnerBasis:
     """F_n for n >= 7, with every leading monomial checked against
 
     LM(f_i) = w2^(2^i*l_i) * w3^(alpha_i*s_{i-1}+2^i-1).
-
-    Each generator g_{n-2+2^i-s_i} comes from the explicit sum
-    (gseries.g_explicit), O(n) apiece, so F_n costs O(t*n) and leaves the
-    shared recurrence series untouched; the recurrence stays the oracle.
     """
     prof = binary_profile(n)
     polys = []
     for i in range(prof.t):
         e3 = prof.alpha[i] * prof.s_prev(i)
-        g = g_explicit(n - 2 + (1 << i) - prof.s[i])
+        g = g_recurrence(n - 2 + (1 << i) - prof.s[i])
         f = Poly._raw(frozenset((b, c + e3) for b, c in g.terms)) if e3 else g
         lm = (prof.l[i] << i, e3 + (1 << i) - 1)
         if f.homogeneous_degree() is None or f.leading_monomial() != lm:

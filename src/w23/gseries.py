@@ -4,15 +4,10 @@ These are the homogeneous polynomials defined by inverting 1 + w2 + w3 in
 the power-series ring: (1 + w2 + w3)(g_0 + g_1 + g_2 + ...) = 1, where g_r
 collects the degree-r part.  Two independent constructions are provided:
 
-* the explicit sum g_r = sum of C(d+e, e)*w2^d*w3^e over 2d+3e = r with
-  the binomial taken mod 2, O(r) per g_r and nothing kept: the closed-form
-  Groebner basis reads its t generators from it, so building F_n never
-  grows a series up to g_n; and
 * the three-term recurrence g_{r+3} = w2*g_{r+1} + w3*g_r with seeds
-  g_0 = 1, g_1 = 0, g_2 = w2, kept in one shared append-only list: the
-  oracle the explicit sum is checked against, and the source of every
-  consecutive run of g_r (`w23 g`, `table g`, Buchberger's generators,
-  the identities below).
+  g_0 = 1, g_1 = 0, g_2 = w2 (the production path), and
+* the explicit sum g_r = sum of C(d+e, e)*w2^d*w3^e over 2d+3e = r with
+  the binomial taken mod 2 (the test oracle).
 
 The ideal studied elsewhere in this package is I_n = (g_{n-2}, g_{n-1}, g_n).
 """
@@ -53,12 +48,15 @@ def g_recurrence(r: int, series: GSeries | None = None) -> Poly:
 
 
 def g_explicit(r: int) -> Poly:
-    """g_r from the explicit formula in O(r); pure, no cache."""
+    """g_r from the explicit formula; pure, no cache."""
     if r < 0:
         raise ValueError("g_r is defined for r >= 0")
     terms = []
-    for e in range(r & 1, r // 3 + 1, 2):  # r - 3e is even iff e and r share parity
-        d = (r - 3 * e) // 2
+    for e in range(r // 3 + 1):
+        rem = r - 3 * e
+        if rem % 2:
+            continue
+        d = rem // 2
         if lucas_binom_mod2(d + e, e):
             terms.append((d, e))
     return Poly._raw(frozenset(terms))

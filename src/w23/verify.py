@@ -242,7 +242,7 @@ def suite_zcl(t_max: int, sweep: Callable[[], list]) -> list[Check]:
             ((f"n={n}", SMALL_N_ZCL[n], v) for n, v, _, _ in rows if n <= 14),
         )
     ]
-    if n_max >= 15:  # the closed form starts in level 4
+    if n_max >= 15:  # the checks on searched zcl for n >= 15 need level 4
         checks.append(
             _scan(
                 f"searched zcl(W_n) matches the closed form, 15 <= n <= {n_max}",
@@ -280,7 +280,7 @@ def suite_bounds(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     checks = []
     for t in range(4, 11):
         checks += bounds_mod.verify_ineq_arithmetic(t)
-    if t_max >= 4:  # the bounds start at n = 15, in level 4
+    if n_max >= 15:  # the checks on searched zcl for n >= 15 need level 4
         computed = {n: v for n, v, _, _ in sweep() if n >= 15}
         checks += [
             _scan(

