@@ -13,7 +13,6 @@ supply zcl(W_n) and the rest is arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .report import Check
@@ -60,14 +59,14 @@ def exactness_established(n: int) -> bool:
     """Whether zcl(G~(n,3)) = 1 + zcl(W_n) is known, not just conjectured.
 
     True on roughly the first sixth and the last quarter of each level:
-    either n < 2^t + 2^(t-1)/3 + 1, with the edge kept as an exact rational
-    (it is never an integer), or n >= 2^t + 2^(t-1) + 2^(t-2) + 1.
+    either n < 2^t + 2^(t-1)/3 + 1, with the edge compared exactly as
+    6n < 7*2^t + 6 (it is never an integer), or n >= 2^t + 2^(t-1) + 2^(t-2) + 1.
     """
     if n < 15:
         raise ValueError(f"exactness ranges start at n = 15, got {n}")
     t = _level(n)
     p = 1 << t
-    if Fraction(n) < p + Fraction(p, 6) + 1:
+    if 6 * n < 7 * p + 6:
         return True
     return n >= p + p // 2 + p // 4 + 1
 
@@ -87,7 +86,7 @@ def exactness_edge_disagreements(t: int) -> list[int]:
     p = 1 << t
     out = []
     for n in range(p - 1, 2 * p - 1):
-        rational = Fraction(n) < p + Fraction(p, 6) + 1
+        rational = 6 * n < 7 * p + 6  # n < p + p/6 + 1, denominators cleared
         inclusive = n <= p + (p // 2) // 3 + 1
         if rational != inclusive:
             out.append(n)

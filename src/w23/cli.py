@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cache
 from .bounds import bounds_row, tc_table_rows
@@ -30,8 +30,7 @@ from .verify import SUITES, run_suites
 from .zcl import SMALL_N_ZCL, ZclResult, _piece_pairs, parallel_map, search_n, zcl_closed_form
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     """What a command returns. `json()` gives the object to dump, `text()`
     the lines to print, and `csv()`, on commands that offer csv, the header
     and the rows. `status` is the exit status."""

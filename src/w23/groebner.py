@@ -17,40 +17,48 @@ w2 > w3.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .gseries import g_recurrence
 from .poly import Monomial, Poly
 from .report import Check
 
 
-@dataclass(frozen=True)
-class BinaryProfile:
-    """The digit data (t, alpha, s, l) attached to n.
-
-    alpha holds the binary digits of n - 2^t + 1, s the partial sums
-    s_i = sum of alpha_j*2^j for j <= i (with s_{-1} = 0 by convention),
-    and l_i = 2^(t-1-i) + sum of alpha_j*2^(j-i-1) for j > i, minus 1.
-    """
-
+class _ProfileFields(NamedTuple):
     n: int
     t: int
     alpha: tuple
     s: tuple
     l: tuple
 
-    def __post_init__(self):
-        t, alpha, s, l = self.t, self.alpha, self.s, self.l
-        m = self.n - (1 << t) + 1
+
+class BinaryProfile(_ProfileFields):
+    """The digit data (t, alpha, s, l) attached to n.
+
+    alpha holds the binary digits of n - 2^t + 1, s the partial sums
+    s_i = sum of alpha_j*2^j for j <= i (with s_{-1} = 0 by convention),
+    and l_i = 2^(t-1-i) + sum of alpha_j*2^(j-i-1) for j > i, minus 1.
+    Immutable; every construction checks that the fields agree.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, t: int, alpha: tuple, s: tuple, l: tuple):
+        m = n - (1 << t) + 1
         if not (
             len(alpha) == len(s) == len(l) == t
             and sum(a << j for j, a in enumerate(alpha)) == m
             and s[t - 1] == m
             and all(x <= y for x, y in zip(s, s[1:]))
-            and all((self.n + 1 - s[i]) // 2 - (1 << i) == l[i] << i for i in range(t))
+            and all((n + 1 - s[i]) // 2 - (1 << i) == l[i] << i for i in range(t))
         ):
-            raise ValueError(f"inconsistent binary profile for n={self.n}")
+            raise ValueError(f"inconsistent binary profile for n={n}")
+        return super().__new__(cls, n, t, alpha, s, l)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`; route it through the check too
+        return cls(*iterable)
 
     def s_prev(self, i: int) -> int:
         return self.s[i - 1] if i > 0 else 0

@@ -1,5 +1,7 @@
 """Sandwich bounds, exactness ranges, and TC lower-bound table structure."""
 
+from fractions import Fraction
+
 import pytest
 
 from w23.bounds import (
@@ -81,6 +83,14 @@ def test_exactness_ranges():
     assert exact5 == set(range(31, 39)) | set(range(57, 63))
     with pytest.raises(ValueError):
         exactness_established(14)
+
+
+def test_exactness_matches_rational_oracle():
+    # the integer edge 6n < 7p + 6 against the rational statement of the ranges
+    for n in range(15, 4095):
+        p = 1 << ((n + 1).bit_length() - 1)
+        oracle = Fraction(n) < p + Fraction(p, 6) + 1 or n >= p + p // 2 + p // 4 + 1
+        assert exactness_established(n) == oracle, n
 
 
 def test_exactness_edge_readings_agree():

@@ -41,11 +41,15 @@ def test_profile_n21():
     assert (prof.t, prof.alpha, prof.s) == (4, (0, 1, 1, 0), (0, 2, 6, 6))
     assert prof.l == (10, 4, 1, 0)
     assert prof.s_prev(0) == 0
+    with pytest.raises(AttributeError):
+        prof.t = 5
 
 
 def test_profile_rejects_inconsistent_digits():
     with pytest.raises(ValueError):
         BinaryProfile(21, 4, (1, 1, 1, 0), (0, 2, 6, 6), (10, 4, 1, 0))
+    with pytest.raises(ValueError):
+        binary_profile(21)._replace(t=5)
 
 
 def test_closed_form_rejects_wrong_generator(monkeypatch):

@@ -1,9 +1,14 @@
 """The g-family: golden table, recurrence vs explicit formula, identities."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from w23 import gseries as gseries_module
+from w23.groebner import binary_profile
 from w23.gseries import (
     GSeries,
     g_explicit,
@@ -12,7 +17,7 @@ from w23.gseries import (
     verify_g3_lemma,
     verify_kvadriranje,
 )
-from w23.poly import ONE, W2, W3, ZERO, poly_text
+from w23.poly import W2, W3, ZERO, poly_text
 from w23.report import failures
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,7 +31,8 @@ def test_golden_table():
 
 
 def test_recurrence_matches_explicit_formula():
-    for r in range(513):
+    # covers every generator the closed-form basis reads for n up to 1535
+    for r in range(2601):
         assert g_recurrence(r) == g_explicit(r), r
 
 
@@ -86,6 +92,33 @@ def test_vanishing_indices_small():
 
 def test_series_rejects_inhomogeneous_term():
     series = GSeries()
-    series._polys[2] = W2 + ONE  # corrupt a seed: g_4 = w2*g_2 is no longer homogeneous
+    series._bits[2] = 0b11  # corrupt a seed: g_4 = w2*g_2 gets a w3-odd term
     with pytest.raises(RuntimeError):
         series.g(4)
+
+
+def test_series_rejects_term_of_negative_w2_exponent():
+    series = GSeries()
+    series._bits[0] = 0b100  # corrupt a seed: g_3 = w3*g_0 gets bit 3 > 3 // 3, odd
+    with pytest.raises(RuntimeError):
+        series.g(3)
+
+
+def test_basis_decodes_only_the_generators_it_reads():
+    n = 1408
+    prof = binary_profile(n)
+    read = sorted({n - 2 + (1 << i) - prof.s[i] for i in range(prof.t)})
+    assert len(read) == prof.t == 10
+    probe = (
+        "from w23 import groebner, gseries; groebner.basis_for(1408); "
+        "print(sorted(gseries._shared._decoded))"
+    )
+    src = str(Path(gseries_module.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{read}\n"

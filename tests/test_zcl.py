@@ -428,17 +428,23 @@ def test_verify_runs_one_sweep(monkeypatch):
 
 
 def test_import_leaves_pool_and_cli_unloaded():
-    # only a real pool imports multiprocessing, and only the entry point imports cli
+    # only a real pool imports multiprocessing, and only the entry point imports
+    # cli; the package's records are named tuples and its rational edge is integer
     src = str(Path(zcl_module.__file__).resolve().parents[1])
-    probe = "import sys, w23; print('multiprocessing' in sys.modules, 'w23.cli' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "False False\n"
+    for module, cli_loaded in (("w23", False), ("w23.cli", True)):
+        probe = (
+            f"import sys, {module}; "
+            "print('multiprocessing' in sys.modules, 'w23.cli' in sys.modules, "
+            "[m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == f"False {cli_loaded} []\n", module
 
 
 def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
