@@ -22,11 +22,10 @@ from typing import NamedTuple
 from . import cache
 from .bounds import bounds_row, tc_table_rows
 from .gseries import g_recurrence
-from .groebner import basis_for, binary_profile, reduce_basis
+from .groebner import basis_for, binary_profile
 from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
 from .report import failures
-from .verify import SUITES, run_suites
 from .zcl import SMALL_N_ZCL, ZclResult, _piece_pairs, parallel_map, search_n, zcl_closed_form
 
 
@@ -91,8 +90,6 @@ def cmd_groebner(args, parser) -> View:
     if args.n < 2:
         parser.error("the ideal chain starts at n = 2")
     gb = basis_for(args.n)
-    if args.reduced:
-        gb = reduce_basis(gb)
     if args.n >= 7:
         prof = binary_profile(args.n)
         t, alpha, s = prof.t, list(prof.alpha), list(prof.s)
@@ -393,7 +390,13 @@ def cmd_table(args, parser) -> View:
     return _table_tc(parser, *(args.t or (4, 5)))
 
 
+# the names of verify.SUITES, spelled out so that parsing does not load the suites
+SUITE_CHOICES = ("all", "g-series", "groebner", "quotient", "zcl", "bounds")
+
+
 def cmd_verify(args, parser) -> View:
+    from .verify import SUITES, run_suites
+
     if args.t_max < 3:
         parser.error("--t-max must be at least 3")
     names = list(SUITES) if "all" in args.suites else args.suites
@@ -435,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("groebner", cmd_groebner, "Groebner basis of I_n")
     p.add_argument("n", type=int)
-    p.add_argument("--reduced", action="store_true", help="print the reduced basis")
 
     p = command("basis", cmd_basis, "additive basis of W_n", with_csv)
     p.add_argument("n", type=int)
@@ -478,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_range_arg, help="level range for tc (default 4..5)")
 
     p = command("verify", cmd_verify, "run a verification suite")
-    p.add_argument("suites", nargs="+", choices=("all", *SUITES))
+    p.add_argument("suites", nargs="+", choices=SUITE_CHOICES)
     p.add_argument("--t-max", type=int, default=5, help="largest level to cover")
     p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes")
     return parser

@@ -6,9 +6,10 @@ builds, for n >= 7, the known basis
     F_n = {f_0, ..., f_{t-1}},   f_i = w3^(alpha_i*s_{i-1}) * g_{n-2+2^i-s_i},
 
 where 2^t-1 <= n < 2^{t+1}-1 and alpha/s come from the binary digits of
-n - 2^t + 1.  buchberger computes a basis from arbitrary generators; it is
-the fallback for n = 6 and the cross-check oracle for the closed form
-(after reduce_basis both must agree, since the reduced basis is unique).
+n - 2^t + 1.  F_n is already reduced.  buchberger computes a basis from
+arbitrary generators; it is the fallback for n < 7 and, with reduce_basis,
+the cross-check oracle for the closed form (the reduced basis is unique, so
+F_n must equal the reduced Buchberger basis).
 
 Everything uses the one fixed monomial order of this package: lex with
 w2 > w3.
@@ -220,22 +221,18 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(minimal, n=gb.n)
 
 
-_basis_cache: dict[int, GroebnerBasis] = {}
-
-
 def basis_for(n: int) -> GroebnerBasis:
-    """Shared per-n basis: the closed form for n >= 7, Buchberger below."""
-    gb = _basis_cache.get(n)
-    if gb is None:
-        if n >= 7:
-            gb = closed_form_basis(n)
-        elif n >= 2:
-            gens = [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]
-            gb = reduce_basis(buchberger(gens, n=n))
-        else:
-            raise ValueError("ideal index must be at least 2")
-        _basis_cache[n] = gb
-    return gb
+    """The reduced basis of I_n: the closed form for n >= 7, Buchberger below.
+
+    Built afresh on every call; a caller that reads one basis many times
+    holds it, as a QuotientRing does in `gb`.
+    """
+    if n >= 7:
+        return closed_form_basis(n)
+    if n < 2:
+        raise ValueError("ideal index must be at least 2")
+    gens = [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]
+    return reduce_basis(buchberger(gens, n=n))
 
 
 def ideal_member(p: Poly, n: int) -> bool:

@@ -64,9 +64,9 @@ class GSeries:
 _shared = GSeries()
 
 
-def g_recurrence(r: int, series: GSeries | None = None) -> Poly:
-    """g_r from the recurrence (memoized in a shared cache by default)."""
-    return (_shared if series is None else series).g(r)
+def g_recurrence(r: int) -> Poly:
+    """g_r from the recurrence, memoized in the process-wide series."""
+    return _shared.g(r)
 
 
 def g_explicit(r: int) -> Poly:

@@ -323,6 +323,12 @@ def test_verify_t_max_3_exits_0(capsys):
         assert "0 failures" in out and "15 <= n <= 14" not in out, suite
 
 
+def test_suite_choices_name_every_suite():
+    from w23 import verify
+
+    assert cli_module.SUITE_CHOICES == ("all", *verify.SUITES)
+
+
 def test_verify_json_shape(capsys):
     code, out = run(capsys, "verify", "g-series", "--format", "json")
     assert code == 0
@@ -346,6 +352,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "zcl", "--jobs", "-1"],
         ["g", "14", "--format", "csv"],
         ["groebner", "21", "--format", "csv"],
+        ["groebner", "21", "--reduced"],
         ["table", "tc", "--t", "1..2"],
         ["table", "tc", "--t", "3"],
         ["basis", "21", "--degree", "-1"],
@@ -422,9 +429,9 @@ def test_package_has_no_bare_assert():
     assert not found, found
 
 
-def test_process_wide_caches_are_the_documented_two():
+def test_process_wide_cache_is_the_g_series():
     # module-level private containers or objects outlive every call; the
-    # policy allows the g-series and the Groebner bases, both small
+    # policy allows only the g-series, which is small
     package = Path(cli_module.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -442,7 +449,7 @@ def test_process_wide_caches_are_the_documented_two():
                 name = getattr(target, "id", "")
                 if name.startswith("_") and not name.startswith("__"):
                     found.append(f"{path.stem}.{name}")
-    assert found == ["groebner._basis_cache", "gseries._shared"]
+    assert found == ["gseries._shared"]
 
 
 def test_verify_passes_under_optimize():

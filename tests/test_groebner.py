@@ -328,6 +328,21 @@ def test_basis_for_n6():
     assert set(gb.polys) == {W2 ** 2, W3 ** 2}
 
 
+def test_basis_for_is_already_reduced():
+    # F_n is the reduced basis itself, so reducing it changes nothing
+    for n in range(2, 1101):
+        gb = basis_for(n)
+        assert reduce_basis(gb).polys == gb.polys, n
+
+
+def test_basis_for_builds_afresh():
+    # no process-wide basis cache: callers that reuse a basis hold it
+    for n in (6, 21):
+        first, second = basis_for(n), basis_for(n)
+        assert first.polys == second.polys
+        assert first is not second
+
+
 def test_differential_small_range():
     # closed form vs Buchberger on the raw generators; the reduced basis of
     # an ideal is unique, so after reduce_basis they must agree exactly

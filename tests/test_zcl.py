@@ -428,14 +428,16 @@ def test_verify_runs_one_sweep(monkeypatch):
 
 
 def test_import_leaves_pool_and_cli_unloaded():
-    # only a real pool imports multiprocessing, and only the entry point imports
-    # cli; the package's records are named tuples and its rational edge is integer
+    # only a real pool imports multiprocessing, only the entry point imports
+    # cli, and only `w23 verify` imports the suites; the package's records are
+    # named tuples and its rational edge is integer
     src = str(Path(zcl_module.__file__).resolve().parents[1])
     for module, cli_loaded in (("w23", False), ("w23.cli", True)):
         probe = (
             f"import sys, {module}; "
             "print('multiprocessing' in sys.modules, 'w23.cli' in sys.modules, "
-            "[m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])"
+            "[m for m in ('dataclasses', 'inspect', 'fractions', 'w23.verify') "
+            "if m in sys.modules])"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
