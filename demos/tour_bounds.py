@@ -3,13 +3,8 @@
 Run with:  python3 demos/tour_bounds.py
 """
 
-from w23.bounds import (
-    bounds_row,
-    exceptional_degrees,
-    tc_table_rows,
-    verify_ineq_arithmetic,
-)
-from w23.report import failures
+from w23.bounds import bounds_row, exceptional_degrees, tc_table_rows
+from w23.verify import failures, verify_ineq_arithmetic
 from w23.zcl import zcl_closed_form
 
 

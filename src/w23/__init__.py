@@ -18,7 +18,6 @@ from .bounds import (
     exceptional_degrees,
     height_z_w2,
     tc_table_rows,
-    verify_ineq_arithmetic,
 )
 from .groebner import (
     GroebnerBasis,
@@ -93,7 +92,6 @@ __all__ = [
     "poly_text",
     "reduce_basis",
     "tc_table_rows",
-    "verify_ineq_arithmetic",
     "w3_ideal_member",
     "z",
     "zcl_closed_form",

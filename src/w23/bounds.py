@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .report import Check
 from .zcl import zcl_closed_form
 
 
@@ -71,28 +70,6 @@ def exactness_established(n: int) -> bool:
     return n >= p + p // 2 + p // 4 + 1
 
 
-def exactness_edge_disagreements(t: int) -> list[int]:
-    """n where the two readings of the first exactness edge would differ.
-
-    The edge appears once as the strict rational bound
-    n < 2^t + 2^(t-1)/3 + 1 and once as the inclusive integer bound
-    n <= 2^t + floor(2^(t-1)/3) + 1.  Because 3 never divides a power of
-    two, both admit exactly the same integers, so the returned list is
-    expected to be empty for every t; a nonempty result means the two
-    formulations have drifted apart.
-    """
-    if t < 4:
-        raise ValueError(f"levels start at t = 4, got {t}")
-    p = 1 << t
-    out = []
-    for n in range(p - 1, 2 * p - 1):
-        rational = 6 * n < 7 * p + 6  # n < p + p/6 + 1, denominators cleared
-        inclusive = n <= p + (p // 2) // 3 + 1
-        if rational != inclusive:
-            out.append(n)
-    return out
-
-
 class BoundsRow(NamedTuple):
     """Everything known about zcl(G~(n,3)) and TC(G~(n,3)) for one n.
 
@@ -132,36 +109,6 @@ def bounds_row(n: int, zcl_value: int) -> BoundsRow:
         a_deg=a_deg,
         b_deg=b_deg,
     )
-
-
-def verify_ineq_arithmetic(t: int) -> list[Check]:
-    """Check 6n + height(z(w2)) < 3(|a| + zcl(W_n)) + 16 across level t.
-
-    This inequality is the engine of the exactness argument: it rules out a
-    maximal zero-divisor product carrying a square of the exceptional class
-    z(a).  It must hold for every n in [2^t - 1, 2^(t+1) - 2], and only
-    closed forms are consulted.  Returns a single summary check naming the
-    first violating n, if any.
-    """
-    if t < 4:
-        raise ValueError(f"levels start at t = 4, got {t}")
-    p = 1 << t
-    for n in range(p - 1, 2 * p - 1):
-        a_deg, _ = exceptional_degrees(n)
-        lhs = 6 * n + height_z_w2(n)
-        rhs = 3 * (a_deg + zcl_closed_form(n)) + 16
-        if lhs >= rhs:
-            return [
-                Check(
-                    f"6n + height(z(w2)) < 3(|a| + zcl(W_n)) + 16 on [2^{t}-1, 2^{t + 1}-2]",
-                    False,
-                    f"lhs < rhs at n={n}",
-                    f"lhs={lhs}, rhs={rhs}",
-                )
-            ]
-    return [
-        Check(f"6n + height(z(w2)) < 3(|a| + zcl(W_n)) + 16 on [2^{t}-1, 2^{t + 1}-2]", True)
-    ]
 
 
 class TcBand(NamedTuple):

@@ -1,5 +1,5 @@
-"""Resumable result cache: one JSON file per (kind, n).  A sweep stores each
-n as its result arrives, so a rerun of an interrupted sweep resumes after it.
+"""Resumable zcl results: one JSON file, zcl-{n}.json, per n.  A sweep stores
+each n as its result arrives, so a rerun of an interrupted sweep resumes after it.
 
 Every payload carries a schema_version stamp; entries written by an older
 schema are treated as absent and recomputed rather than migrated.  Entries
@@ -25,12 +25,12 @@ def resolve_cache_dir(flag: str | None) -> Path | None:
     return Path(env) if env else None
 
 
-def load(cache_dir: Path | None, kind: str, n: int) -> dict | None:
+def load(cache_dir: Path | None, n: int) -> dict | None:
     """The stored payload, or None when absent, unreadable, or stale."""
     if cache_dir is None:
         return None
     try:
-        payload = json.loads((cache_dir / f"{kind}-{n}.json").read_text())
+        payload = json.loads((cache_dir / f"zcl-{n}.json").read_text())
     except (OSError, ValueError):
         return None
     if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
@@ -38,7 +38,7 @@ def load(cache_dir: Path | None, kind: str, n: int) -> dict | None:
     return payload
 
 
-def store(cache_dir: Path | None, kind: str, n: int, payload: dict) -> None:
+def store(cache_dir: Path | None, n: int, payload: dict) -> None:
     """Write the entry atomically: a temp file in cache_dir, then os.replace.
 
     A reader sees either the old entry or the whole new one, never a
@@ -47,13 +47,13 @@ def store(cache_dir: Path | None, kind: str, n: int, payload: dict) -> None:
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = {"schema_version": SCHEMA_VERSION, "kind": kind, "n": n}
+    body = {"schema_version": SCHEMA_VERSION, "kind": "zcl", "n": n}
     body.update(payload)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".{kind}-{n}-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".zcl-{n}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(body) + "\n")
-        os.replace(tmp, cache_dir / f"{kind}-{n}.json")
+        os.replace(tmp, cache_dir / f"zcl-{n}.json")
     except BaseException:
         os.unlink(tmp)
         raise

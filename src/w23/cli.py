@@ -25,7 +25,6 @@ from .gseries import g_recurrence
 from .groebner import basis_for, binary_profile
 from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
-from .report import failures
 from .zcl import SMALL_N_ZCL, ZclResult, _piece_pairs, parallel_map, search_n, zcl_closed_form
 
 
@@ -171,10 +170,7 @@ def cmd_nf(args, parser) -> View:
 def cmd_height(args, parser) -> View:
     if args.n < 6:
         parser.error("quotient rings start at n = 6")
-    use_brute = args.brute or (args.n < 7 and not args.closed)
-    if args.closed and args.n < 7:
-        parser.error("the closed form needs n >= 7")
-    if use_brute:
+    if args.brute or args.n < 7:
         h = brute_heights(build_quotient(args.n))
         method = "brute"
     else:
@@ -229,14 +225,14 @@ def _zcl_results(ns: list[int], cache_dir, jobs: int) -> dict[int, ZclResult]:
     out: dict[int, ZclResult] = {}
     missing = []
     for n in ns:
-        res = _decode_zcl(cache.load(cache_dir, "zcl", n))
+        res = _decode_zcl(cache.load(cache_dir, n))
         if res is None or not _certified(n, res):
             missing.append(n)
         else:
             out[n] = res
     for n, res in zip(missing, parallel_map(search_n, missing, jobs)):
         out[n] = res
-        cache.store(cache_dir, "zcl", n, {"value": res.value, "witness": _witness_payload(res)})
+        cache.store(cache_dir, n, {"value": res.value, "witness": _witness_payload(res)})
     return out
 
 
@@ -395,7 +391,7 @@ SUITE_CHOICES = ("all", "g-series", "groebner", "quotient", "zcl", "bounds")
 
 
 def cmd_verify(args, parser) -> View:
-    from .verify import SUITES, run_suites
+    from .verify import SUITES, failures, run_suites
 
     if args.t_max < 3:
         parser.error("--t-max must be at least 3")
@@ -450,9 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("height", cmd_height, "heights of w2 and w3 in W_n")
     p.add_argument("n", type=int)
-    method = p.add_mutually_exclusive_group()
-    method.add_argument("--brute", action="store_true", help="force power iteration")
-    method.add_argument("--closed", action="store_true", help="force the closed form")
+    p.add_argument("--brute", action="store_true", help="force power iteration")
 
     p = command("zcl", cmd_zcl, "zero-divisor cup-length of W_n")
     p.add_argument("n", type=int)

@@ -22,7 +22,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .gseries import g_recurrence
 from .poly import Monomial, Poly
-from .report import Check
 
 
 class _ProfileFields(NamedTuple):
@@ -245,52 +244,3 @@ def w3_ideal_member(p: Poly, n: int) -> bool:
     if any(c == 0 for _, c in p.terms):
         return False
     return ideal_member(Poly._raw(frozenset((b, c - 1) for b, c in p.terms)), n)
-
-
-def verify_membership_lemmas(t: int) -> list[Check]:
-    """The four ideal-membership statements anchoring the upper bounds.
-
-    For t >= 4:
-      (m1) g_{3*2^(t-1)} + w2^(3*2^(t-2)) + sum_{k=1}^{t-3}
-           w2^(3*2^(k-1))*w3^(2^(t-1)-2^k)  lies in  w3*I_{2^t+2^(t-2)+2^(t-4)}
-      (c1) w2^(3*2^(t-2)) is congruent to that same sum mod I_{2^t+2^(t-2)+2}
-           (this one also holds, with an empty sum, for t = 3)
-      (m2) g_{2^(t+1)-6} + w2^(2^t-3) + w2^(2^(t-2)-3)*w3^(2^(t-1))
-           lies in  w3*I_{2^t+2^(t-1)+2^(t-3)+2^(t-4)}
-      (c2) w2^(2^t-3) is congruent to w2^(2^(t-2)-3)*w3^(2^(t-1))
-           mod I_{13*2^(t-3)+1}
-    """
-    if t < 3:
-        raise ValueError("requires t >= 3")
-    p = 1 << t
-    quarter_sum = Poly((3 << (k - 1), (p >> 1) - (1 << k)) for k in range(1, t - 2))
-    checks = [
-        Check(
-            f"c1 t={t}: w2^{3 * p // 4} congruent to the quarter sum mod I_{p + p // 4 + 2}",
-            ideal_member(Poly({(3 * p // 4, 0)}) + quarter_sum, p + p // 4 + 2),
-        )
-    ]
-    if t >= 4:
-        m1 = g_recurrence(3 * p // 2) + Poly({(3 * p // 4, 0)}) + quarter_sum
-        m2 = (
-            g_recurrence(2 * p - 6)
-            + Poly({(p - 3, 0)})
-            + Poly({(p // 4 - 3, p // 2)})
-        )
-        checks += [
-            Check(
-                f"m1 t={t}: membership in w3*I_{p + p // 4 + p // 16}",
-                w3_ideal_member(m1, p + p // 4 + p // 16),
-            ),
-            Check(
-                f"m2 t={t}: membership in w3*I_{p + p // 2 + p // 8 + p // 16}",
-                w3_ideal_member(m2, p + p // 2 + p // 8 + p // 16),
-            ),
-            Check(
-                f"c2 t={t}: w2^{p - 3} congruent to w2^{p // 4 - 3}*w3^{p // 2} mod I_{13 * p // 8 + 1}",
-                ideal_member(
-                    Poly({(p - 3, 0), (p // 4 - 3, p // 2)}), 13 * p // 8 + 1
-                ),
-            ),
-        ]
-    return checks

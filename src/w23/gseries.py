@@ -20,8 +20,7 @@ The ideal studied elsewhere in this package is I_n = (g_{n-2}, g_{n-1}, g_n).
 
 from __future__ import annotations
 
-from .poly import W2, ZERO, Poly, lucas_binom_mod2
-from .report import Check, check_eq
+from .poly import Poly, lucas_binom_mod2
 
 
 class GSeries:
@@ -82,48 +81,3 @@ def g_explicit(r: int) -> Poly:
         if lucas_binom_mod2(d + e, e):
             terms.append((d, e))
     return Poly._raw(frozenset(terms))
-
-
-def _single(b: int, c: int) -> Poly:
-    return Poly._raw(frozenset({(b, c)}))
-
-
-def verify_g3_lemma(t: int) -> list[Check]:
-    """The five closed-form evaluations of g at indices near 2^t.
-
-    (a) g_{2^t-3} = 0
-    (b) g_{2^t+2^{t-1}-3} = w3^(2^{t-1}-1)
-    (c) g_{2^t+2^{t-2}-3} = w2^(2^{t-2}) * w3^(2^{t-2}-1)
-    (d) g_{2^t+2^{t-1}+2^{t-2}-3} = w2^(2^{t-1}) * w3^(2^{t-2}-1)
-    (e) g_{2^t+2^{t-1}+2^{t-3}-3} = w2^(2^{t-1}+2^{t-3}) * w3^(2^{t-3}-1),
-        for t >= 3 only.
-    """
-    if t < 2:
-        raise ValueError("requires t >= 2")
-    p = 1 << t
-    cases = [
-        ("a", p - 3, ZERO),
-        ("b", p + p // 2 - 3, _single(0, p // 2 - 1)),
-        ("c", p + p // 4 - 3, _single(p // 4, p // 4 - 1)),
-        ("d", p + p // 2 + p // 4 - 3, _single(p // 2, p // 4 - 1)),
-    ]
-    if t >= 3:
-        cases.append(("e", p + p // 2 + p // 8 - 3, _single(p // 2 + p // 8, p // 8 - 1)))
-    return [
-        check_eq(f"g3({part}) t={t}: g_{r}", expect, g_recurrence(r))
-        for part, r, expect in cases
-    ]
-
-
-def verify_kvadriranje(i: int, r: int) -> bool:
-    """g_{2^i*(r+3)-3} = w3^(2^i-1) * g_r^(2^i)."""
-    q = 1 << i
-    rhs = frozenset((b, c + q - 1) for b, c in (g_recurrence(r) ** q).terms)
-    return g_recurrence(q * (r + 3) - 3).terms == rhs
-
-
-def verify_doubling(n: int) -> bool:
-    """g_{2n} = g_n^2 + w2 * g_{n-1}^2."""
-    if n < 1:
-        raise ValueError("requires n >= 1")
-    return g_recurrence(2 * n) == g_recurrence(n) ** 2 + W2 * g_recurrence(n - 1) ** 2

@@ -21,7 +21,7 @@ largest i first).  The bases are homogeneous and each LM is lex-largest, so
 every child keeps the degree and drops b by a positive multiple of 3: the
 basis compiles into one table of (l0, l1, drops of b // 3) feeding one
 filler.  For n >= 7 the drops are the closed-form rewrite
-(f_i = w3^(e3+2^i-1)*g_(2l_i)^(2^i), gseries.verify_kvadriranje):
+(f_i = w3^(e3+2^i-1)*g_(2l_i)^(2^i), verify.verify_kvadriranje):
 
     w2^b*w3^c  =  sum over 2d+3e = 2*l_i, e > 0, C(d+e,e) odd
                   of  w2^(b-2^i*(l_i-d)) * w3^(c+2^i*e).

@@ -57,12 +57,10 @@ forces height(z) = 2^(u+1)-1.
 from __future__ import annotations
 
 import os
-import random
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .poly import Monomial, Poly, lucas_binom_mod2
 from .quotient import QuotientRing, build_quotient
-from .report import Check
 
 SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
 
@@ -421,67 +419,6 @@ def zcl_closed_form(n: int) -> int:
         return 2 * p + p // 4 - 2
     s = (2 * p - n).bit_length() - 1  # band 2^(t+1)-2^(s+1)+1 <= n <= 2^(t+1)-2^s
     return 3 * p - (2 << s) - 2
-
-
-def verify_zero_divisor_algebra(q: QuotientRing, trials: int, seed: int = 0) -> list[Check]:
-    """The three z identities on random low-degree classes:
-
-    z(a+b) = z(a)+z(b),
-    z(ab) = z(a)z(b) + (1 (x) b)z(a) + (1 (x) a)z(b),
-    z(a^(2^l)) = z(a)^(2^l).
-    """
-    rng = random.Random(seed)
-    checks = []
-    for k in range(trials):
-        a = Poly((rng.randrange(4), rng.randrange(3)) for _ in range(rng.randrange(1, 4)))
-        b = Poly((rng.randrange(4), rng.randrange(3)) for _ in range(rng.randrange(1, 4)))
-        za, zb = z(q, a), z(q, b)
-        ok_add = z(q, a + b) == za + zb
-        ok_mul = z(q, a * b) == za * zb + embed_right(q, nf_poly(q, b)) * za + embed_right(
-            q, nf_poly(q, a)
-        ) * zb
-        l = rng.choice((1, 2, 3))
-        ok_pow = z(q, a ** (1 << l)) == za ** (1 << l)
-        checks.append(
-            Check(
-                f"z identities n={q.n} trial={k}",
-                ok_add and ok_mul and ok_pow,
-                "all three hold",
-                f"add={ok_add} mul={ok_mul} pow(2^{l})={ok_pow}",
-            )
-        )
-    return checks
-
-
-def verify_upper_bound_lemmas(t: int) -> list[Check]:
-    """The stated z-product vanishings driving the upper bounds:
-
-    n = 2^t+2^(t-2):   z(w2)^(2^t-1)*z(w3)^(2^(t-1)-2) = 0
-                       and z(w2)^(2^t-2)*z(w3)^(2^(t-1)-1) = 0;
-    n = 2^t+2^(t-2)+1: z(w2)^(2^t-1)*z(w3)^(2^(t-1)-1) = 0;
-    n = 2^(t+1)-2^s (1 <= s <= t-3):
-                       z(w2)^(2^(t+1)-2^(s+1))*z(w3)^(2^t-2^s) = 0
-                       and z(w2)^(2^(t+1)-2^s)*z(w3)^(2^t-2^(s+1)) = 0.
-    """
-    if t < 4:
-        raise ValueError("stated for t >= 4")
-    p = 1 << t
-    cells = [
-        (p + p // 4, p - 1, p // 2 - 2),
-        (p + p // 4, p - 2, p // 2 - 1),
-        (p + p // 4 + 1, p - 1, p // 2 - 1),
-    ]
-    for s in range(1, t - 2):
-        e = 1 << s
-        cells.append((2 * p - e, 2 * p - 2 * e, p - e))
-        cells.append((2 * p - e, 2 * p - e, p - 2 * e))
-    return [
-        Check(
-            f"vanishing n={n}: z(w2)^{beta}*z(w3)^{gamma} = 0",
-            not zero_divisor_product_nonzero(build_quotient(n), beta, gamma),
-        )
-        for n, beta, gamma in cells
-    ]
 
 
 def search_n(n: int) -> ZclResult:

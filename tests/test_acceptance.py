@@ -10,12 +10,7 @@ import random
 import time
 from pathlib import Path
 
-from w23.bounds import (
-    bounds_row,
-    exceptional_degrees,
-    tc_table_rows,
-    verify_ineq_arithmetic,
-)
+from w23.bounds import bounds_row, exceptional_degrees, tc_table_rows
 from w23.cli import main
 from w23.groebner import (
     basis_for,
@@ -25,26 +20,21 @@ from w23.groebner import (
     ideal_member,
     normal_form,
     reduce_basis,
-    verify_membership_lemmas,
     w3_ideal_member,
 )
-from w23.gseries import (
-    g_explicit,
-    g_recurrence,
-    verify_doubling,
-    verify_g3_lemma,
-    verify_kvadriranje,
-)
+from w23.gseries import g_explicit, g_recurrence
 from w23.poly import W3, Poly, deg
 from w23.quotient import brute_heights, build_quotient, class_nonzero, heights_closed_form
-from w23.report import failures
-from w23.zcl import (
-    SMALL_N_ZCL,
-    graded_piece,
+from w23.verify import (
+    failures,
+    verify_doubling,
+    verify_g3_lemma,
+    verify_ineq_arithmetic,
+    verify_kvadriranje,
+    verify_membership_lemmas,
     verify_upper_bound_lemmas,
-    zcl_closed_form,
-    zcl_wn,
 )
+from w23.zcl import SMALL_N_ZCL, graded_piece, zcl_closed_form, zcl_wn
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -8,17 +8,19 @@ from w23.bounds import (
     BoundsRow,
     TcBand,
     bounds_row,
-    exactness_edge_disagreements,
     exactness_established,
     exceptional_degrees,
     height_z_w2,
     tc_table_bands,
     tc_table_rows,
-    verify_ineq_arithmetic,
 )
 from w23.quotient import build_quotient, heights_closed_form
-from w23.report import failures
-from w23.verify import run_suites
+from w23.verify import (
+    exactness_edge_disagreements,
+    failures,
+    run_suites,
+    verify_ineq_arithmetic,
+)
 from w23.zcl import zcl_closed_form, zcl_wn
 
 

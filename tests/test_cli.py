@@ -114,7 +114,7 @@ def test_nf_output(capsys):
 
 
 def test_height_methods_agree(capsys):
-    _, closed = run(capsys, "height", "21", "--closed")
+    _, closed = run(capsys, "height", "21")
     _, brute = run(capsys, "height", "21", "--brute")
     assert closed == brute == "height(w2) = 12\nheight(w3) = 6\n"
     code, out = run(capsys, "height", "6", "--format", "json")
@@ -236,16 +236,16 @@ def test_cached_zcl_is_checked_before_use():
 
 
 def test_cache_store_is_atomic(tmp_path):
-    cache.store(tmp_path, "zcl", 21, {"value": 21})
+    cache.store(tmp_path, 21, {"value": 21})
     assert [p.name for p in tmp_path.iterdir()] == ["zcl-21.json"]
-    assert cache.load(tmp_path, "zcl", 21)["value"] == 21
+    assert cache.load(tmp_path, 21)["value"] == 21
     # a truncated file (from a non-atomic writer or a damaged disk) reads as absent
     entry = tmp_path / "zcl-21.json"
     entry.write_text(entry.read_text()[:-8])
-    assert cache.load(tmp_path, "zcl", 21) is None
+    assert cache.load(tmp_path, 21) is None
     # so does valid JSON that is not an object
     entry.write_text("[1, 2]\n")
-    assert cache.load(tmp_path, "zcl", 21) is None
+    assert cache.load(tmp_path, 21) is None
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -348,6 +348,7 @@ def test_usage_errors_exit_2(capsys):
         ["nf", "21", "12", "0", "--format", "csv"],
         ["height", "6", "--closed"],
         ["height", "21", "--brute", "--closed"],
+        ["height", "21", "--closed"],
         ["zcl-range", "6", "8", "--jobs", "0"],
         ["verify", "zcl", "--jobs", "-1"],
         ["g", "14", "--format", "csv"],
@@ -450,6 +451,29 @@ def test_process_wide_cache_is_the_g_series():
                 if name.startswith("_") and not name.startswith("__"):
                     found.append(f"{path.stem}.{name}")
     assert found == ["gseries._shared"]
+
+
+def test_checked_statements_live_in_verify():
+    # verify.py is the one home of Check and of every verify_* statement; the
+    # other modules hold computations and the oracles checked against them
+    package = Path(cli_module.__file__).parent
+    assert not (package / "report.py").exists()
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                node.name == "Check" or node.name.startswith("verify_")
+            ):
+                found.append(f"{path.stem}.{node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.rpartition(".")[2] == "Check" for alias in node.names
+            ):
+                found.append(f"{path.stem} imports Check")
+    assert found == []
 
 
 def test_verify_passes_under_optimize():

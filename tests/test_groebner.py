@@ -18,11 +18,10 @@ from w23.groebner import (
     ideal_member,
     normal_form,
     reduce_basis,
-    verify_membership_lemmas,
     w3_ideal_member,
 )
 from w23.poly import ONE, W2, W3, ZERO, Poly
-from w23.report import failures
+from w23.verify import failures, verify_membership_lemmas
 
 
 def mono(b, c):

@@ -17,7 +17,6 @@ from w23.quotient import (
     heights_closed_form,
     nf_monomial,
 )
-from w23.report import failures
 
 
 def monomials_of_degree(r):
@@ -224,7 +223,7 @@ def test_quotient_suite_builds_one_ring_per_n(monkeypatch):
         return build_quotient(n)
 
     monkeypatch.setattr(verify, "build_quotient", counted)
-    assert failures(verify.run_suites(["quotient"], t_max=5)) == []
+    assert verify.failures(verify.run_suites(["quotient"], t_max=5)) == []
     assert sorted(built) == list(range(6, 63))
 
 

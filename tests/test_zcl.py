@@ -14,8 +14,12 @@ from w23.cli import main
 from w23.groebner import basis_for
 from w23.poly import W2, W3, Poly
 from w23.quotient import QuotientRing, build_quotient
-from w23.report import failures
-from w23.verify import run_suites
+from w23.verify import (
+    failures,
+    run_suites,
+    verify_upper_bound_lemmas,
+    verify_zero_divisor_algebra,
+)
 from w23.zcl import (
     SMALL_N_ZCL,
     TensorElement,
@@ -29,8 +33,6 @@ from w23.zcl import (
     graded_piece,
     parallel_map,
     tensor_one,
-    verify_upper_bound_lemmas,
-    verify_zero_divisor_algebra,
     z,
     zcl_closed_form,
     zcl_range,
