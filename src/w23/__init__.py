@@ -48,7 +48,6 @@ from .zcl import (
     graded_piece,
     z,
     zcl_closed_form,
-    zcl_range,
     zcl_search,
     zcl_wn,
     zero_divisor_product_nonzero,
@@ -95,7 +94,6 @@ __all__ = [
     "w3_ideal_member",
     "z",
     "zcl_closed_form",
-    "zcl_range",
     "zcl_search",
     "zcl_wn",
     "zero_divisor_product_nonzero",

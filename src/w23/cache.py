@@ -1,9 +1,16 @@
-"""Resumable zcl results: one JSON file, zcl-{n}.json, per n.  A sweep stores
-each n as its result arrives, so a rerun of an interrupted sweep resumes after it.
+"""Stored zcl results, and the one sweep that serves them.
 
-Every payload carries a schema_version stamp; entries written by an older
-schema are treated as absent and recomputed rather than migrated.  Entries
-are replaced atomically, and one that does not parse is treated as absent.
+A result is one JSON file, zcl-{n}.json, per n, holding schema_version,
+kind, n, value and witness.  `load` serves an entry only when every field
+checks out and its witness survives in W_n, so a stale, damaged, forged or
+misplaced entry (a copy under another n) is treated as absent and
+recomputed.  The witness certifies only that z(w2)^beta*z(w3)^gamma is
+nonzero, a lower bound: a smaller value stored under the right n, with a
+valid witness, still passes.  Entries are replaced atomically.
+
+`zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
+the verify suites, storing each n as its result arrives, so a rerun of an
+interrupted sweep resumes after it.
 """
 
 from __future__ import annotations
@@ -11,7 +18,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
+
+from .quotient import build_quotient
+from .zcl import ZclResult, graded_piece, parallel_map, search_n
 
 SCHEMA_VERSION = 1
 ENV_VAR = "W23_CACHE_DIR"
@@ -25,20 +36,49 @@ def resolve_cache_dir(flag: str | None) -> Path | None:
     return Path(env) if env else None
 
 
-def load(cache_dir: Path | None, n: int) -> dict | None:
-    """The stored payload, or None when absent, unreadable, or stale."""
+def witness_json(res: ZclResult) -> dict:
+    """The witness object, as printed by `w23 zcl --format json` and stored."""
+    (b1, c1), (b2, c2) = res.pair
+    return {"beta": res.beta, "gamma": res.gamma, "r": res.r, "pair": [[b1, c1], [b2, c2]]}
+
+
+def load(cache_dir: Path | None, n: int) -> ZclResult | None:
+    """The stored zcl(W_n), or None (recompute) unless every check passes:
+    the file is an object of this schema with kind "zcl" and this n; its
+    fields are nonnegative ints with value = beta + gamma; the pair's degrees
+    are r and 2*beta + 3*gamma - r; both monomials are basis monomials of
+    W_n, which bounds the piece scan by the ring's top degree; and the pair
+    survives in the left-degree-r piece of z(w2)^beta*z(w3)^gamma.
+    """
     if cache_dir is None:
         return None
     try:
         payload = json.loads((cache_dir / f"zcl-{n}.json").read_text())
-    except (OSError, ValueError):
+        w = payload["witness"]
+        (b1, c1), (b2, c2) = w["pair"]
+        fields = (payload["value"], w["beta"], w["gamma"], w["r"], b1, c1, b2, c2)
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
+    header = (payload.get("schema_version"), payload.get("kind"), payload.get("n"))
+    if header != (SCHEMA_VERSION, "zcl", n):
         return None
-    return payload
+    if not all(type(x) is int and x >= 0 for x in fields):
+        return None
+    value, beta, gamma, r = fields[:4]
+    if value != beta + gamma:
+        return None
+    if 2 * b1 + 3 * c1 != r or 2 * b2 + 3 * c2 != 2 * beta + 3 * gamma - r:
+        return None
+    q = build_quotient(n)
+    pair = ((b1, c1), (b2, c2))
+    if not (pair[0] in q.basis and pair[1] in q.basis):
+        return None
+    if pair not in graded_piece(q, beta, gamma, r).element.pairs:
+        return None
+    return ZclResult(value, beta, gamma, r, pair)
 
 
-def store(cache_dir: Path | None, n: int, payload: dict) -> None:
+def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
     """Write the entry atomically: a temp file in cache_dir, then os.replace.
 
     A reader sees either the old entry or the whole new one, never a
@@ -47,8 +87,13 @@ def store(cache_dir: Path | None, n: int, payload: dict) -> None:
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = {"schema_version": SCHEMA_VERSION, "kind": "zcl", "n": n}
-    body.update(payload)
+    body = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "zcl",
+        "n": n,
+        "value": res.value,
+        "witness": witness_json(res),
+    }
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".zcl-{n}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -57,3 +102,18 @@ def store(cache_dir: Path | None, n: int, payload: dict) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def zcl_results(
+    ns: Iterable[int], cache_dir: Path | None = None, jobs: int = 1
+) -> dict[int, ZclResult]:
+    """zcl(W_n) for each n in ns, keyed in ns order: the stored entries that
+    load, and a search (on up to `jobs` workers) for the rest, each stored
+    as it arrives.  With no cache_dir every n is searched and nothing is kept.
+    """
+    found = {n: load(cache_dir, n) for n in ns}
+    missing = [n for n, res in found.items() if res is None]
+    for n, res in zip(missing, parallel_map(search_n, missing, jobs)):
+        found[n] = res
+        store(cache_dir, n, res)
+    return found

@@ -25,7 +25,7 @@ from .gseries import g_recurrence
 from .groebner import basis_for, binary_profile
 from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
-from .zcl import SMALL_N_ZCL, ZclResult, _piece_pairs, parallel_map, search_n, zcl_closed_form
+from .zcl import SMALL_N_ZCL, zcl_closed_form
 
 
 class View(NamedTuple):
@@ -182,72 +182,18 @@ def cmd_height(args, parser) -> View:
     )
 
 
-def _witness_payload(res: ZclResult) -> dict:
-    (b1, c1), (b2, c2) = res.pair
-    return {
-        "beta": res.beta,
-        "gamma": res.gamma,
-        "r": res.r,
-        "pair": [[b1, c1], [b2, c2]],
-    }
-
-
-def _decode_zcl(payload: dict | None) -> ZclResult | None:
-    """A cached zcl entry, or None (recompute) unless it is self-consistent:
-    nonnegative int fields, value = beta + gamma, and a pair whose degrees
-    are r and 2*beta + 3*gamma - r."""
-    w = None if payload is None else payload.get("witness")
-    if not isinstance(w, dict):
-        return None
-    try:
-        (b1, c1), (b2, c2) = w["pair"]
-        fields = (payload["value"], w["beta"], w["gamma"], w["r"], b1, c1, b2, c2)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not all(type(x) is int and x >= 0 for x in fields):
-        return None
-    value, beta, gamma, r = fields[:4]
-    if value != beta + gamma:
-        return None
-    if 2 * b1 + 3 * c1 != r or 2 * b2 + 3 * c2 != 2 * beta + 3 * gamma - r:
-        return None
-    return ZclResult(value, beta, gamma, r, ((b1, c1), (b2, c2)))
-
-
-def _certified(n: int, res: ZclResult) -> bool:
-    """Whether the witness pair survives in the left-degree-r piece of
-    z(w2)^beta*z(w3)^gamma on W_n, so that product is really nonzero."""
-    m1, m2 = res.pair
-    return m2 in _piece_pairs(build_quotient(n), res.beta, res.gamma, res.r).get(m1, ())
-
-
-def _zcl_results(ns: list[int], cache_dir, jobs: int) -> dict[int, ZclResult]:
-    out: dict[int, ZclResult] = {}
-    missing = []
-    for n in ns:
-        res = _decode_zcl(cache.load(cache_dir, n))
-        if res is None or not _certified(n, res):
-            missing.append(n)
-        else:
-            out[n] = res
-    for n, res in zip(missing, parallel_map(search_n, missing, jobs)):
-        out[n] = res
-        cache.store(cache_dir, n, {"value": res.value, "witness": _witness_payload(res)})
-    return out
-
-
 def cmd_zcl(args, parser) -> View:
     if args.n < 6:
         parser.error("quotient rings start at n = 6")
     cache_dir = cache.resolve_cache_dir(args.cache_dir)
-    res = _zcl_results([args.n], cache_dir, args.jobs)[args.n]
+    res = cache.zcl_results([args.n], cache_dir, args.jobs)[args.n]
     reference = None
     if args.closed_form_check:
         reference = zcl_closed_form(args.n) if args.n >= 15 else SMALL_N_ZCL[args.n]
     failed = args.closed_form_check and reference != res.value
 
     def data():
-        payload = {"n": args.n, "zcl": res.value, "witness": _witness_payload(res)}
+        payload = {"n": args.n, "zcl": res.value, "witness": cache.witness_json(res)}
         if args.closed_form_check:
             payload["closed_form"] = reference
             payload["closed_form_agrees"] = reference == res.value
@@ -275,10 +221,9 @@ def cmd_zcl_range(args, parser) -> View:
     if args.lo > args.hi:
         parser.error("empty range")
     cache_dir = cache.resolve_cache_dir(args.cache_dir)
-    ns = list(range(args.lo, args.hi + 1))
-    results = _zcl_results(ns, cache_dir, args.jobs)
+    results = cache.zcl_results(range(args.lo, args.hi + 1), cache_dir, args.jobs)
     header = ["n", "zcl", "witness_beta", "witness_gamma"]
-    rows = [[n, results[n].value, results[n].beta, results[n].gamma] for n in ns]
+    rows = [[n, res.value, res.beta, res.gamma] for n, res in results.items()]
     return View(
         json=lambda: [dict(zip(header, row)) for row in rows],
         text=lambda: (f"zcl(W_{n}) = {v}  (beta={b}, gamma={g})" for n, v, b, g in rows),

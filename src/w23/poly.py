@@ -17,20 +17,9 @@ from typing import Iterable, Iterator
 Monomial = tuple  # (b, c)
 
 
-def monomial(b: int, c: int) -> Monomial:
-    if b < 0 or c < 0:
-        raise ValueError(f"negative exponent in monomial ({b}, {c})")
-    return (b, c)
-
-
 def deg(m: Monomial) -> int:
     """Degree of a monomial under the 2/3 grading."""
     return 2 * m[0] + 3 * m[1]
-
-
-def divides(d: Monomial, m: Monomial) -> bool:
-    """True iff the monomial d divides the monomial m."""
-    return d[0] <= m[0] and d[1] <= m[1]
 
 
 def lucas_binom_mod2(a: int, k: int) -> int:

@@ -11,8 +11,9 @@ the oracles checked against them.
 Each suite returns a list of Check records and is deterministic (random
 sampling is seeded, parallel runs merge in n order).  `t_max` scales the
 n ranges: a suite covers levels up to t_max, i.e. n <= 2^(t_max+1) - 2.
-Suites are called as suite(t_max, sweep).  sweep() gives the rows of one
-zcl_range(6, n_max) per run_suites call, shared by the zcl and bounds suites.
+Suites are called as suite(t_max, sweep).  sweep() gives the results of
+one cache.zcl_results sweep over 6 <= n <= n_max per run_suites call, keyed
+by n and shared by the zcl and bounds suites.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cache
 from typing import Callable, Iterable, NamedTuple
 
 from . import bounds as bounds_mod
+from .cache import zcl_results
 from .gseries import g_explicit, g_recurrence
 from .groebner import (
     basis_for,
@@ -41,7 +43,6 @@ from .zcl import (
     nf_poly,
     z,
     zcl_closed_form,
-    zcl_range,
     zero_divisor_product_nonzero,
 )
 
@@ -278,7 +279,7 @@ def verify_ineq_arithmetic(t: int) -> list[Check]:
     return [_scan(name, sides())]
 
 
-def suite_g_series(t_max: int, sweep: Callable[[], list]) -> list[Check]:
+def suite_g_series(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     checks = [
         _scan(
             "recurrence matches the explicit binomial form for r <= 512",
@@ -333,7 +334,7 @@ def suite_g_series(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     return checks
 
 
-def suite_groebner(t_max: int, sweep: Callable[[], list]) -> list[Check]:
+def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     n_max = _n_max(t_max)
     top = min(n_max, 64)
     # the three checks read one basis per n, built here and dropped on return
@@ -389,7 +390,7 @@ def suite_groebner(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     return checks
 
 
-def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
+def suite_quotient(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     n_max = _n_max(t_max)
     top = min(n_max, 64)
     # the checks on n <= 64 share one ring per n; larger rings are built,
@@ -456,20 +457,20 @@ def suite_quotient(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     return checks
 
 
-def suite_zcl(t_max: int, sweep: Callable[[], list]) -> list[Check]:
+def suite_zcl(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     n_max = _n_max(t_max)
-    rows = sweep()
+    rows = [(n, res.value) for n, res in sweep().items()]
     checks = [
         _scan(
             "zcl(W_n) for n = 6..14 matches the small-n table",
-            ((f"n={n}", SMALL_N_ZCL[n], v) for n, v, _, _ in rows if n <= 14),
+            ((f"n={n}", SMALL_N_ZCL[n], v) for n, v in rows if n <= 14),
         )
     ]
     if n_max >= 15:  # the checks on searched zcl for n >= 15 need level 4
         checks.append(
             _scan(
                 f"searched zcl(W_n) matches the closed form, 15 <= n <= {n_max}",
-                ((f"n={n}", zcl_closed_form(n), v) for n, v, _, _ in rows if n >= 15),
+                ((f"n={n}", zcl_closed_form(n), v) for n, v in rows if n >= 15),
             )
         )
     checks += [
@@ -498,13 +499,13 @@ def suite_zcl(t_max: int, sweep: Callable[[], list]) -> list[Check]:
     return checks
 
 
-def suite_bounds(t_max: int, sweep: Callable[[], list]) -> list[Check]:
+def suite_bounds(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     n_max = _n_max(t_max)
     checks = []
     for t in range(4, 11):
         checks += verify_ineq_arithmetic(t)
     if n_max >= 15:  # the checks on searched zcl for n >= 15 need level 4
-        computed = {n: v for n, v, _, _ in sweep() if n >= 15}
+        computed = {n: res.value for n, res in sweep().items() if n >= 15}
         checks += [
             _scan(
                 f"bounds rows agree between searched and closed-form zcl, 15 <= n <= {n_max}",
@@ -560,7 +561,7 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
 
 
 def run_suites(names: Iterable[str], t_max: int = 5, jobs: int = 1) -> list[Check]:
-    sweep = cache(lambda: zcl_range(6, _n_max(t_max), jobs=jobs))
+    sweep = cache(lambda: zcl_results(range(6, _n_max(t_max) + 1), jobs=jobs))
     checks = []
     for name in names:
         checks += SUITES[name](t_max, sweep)

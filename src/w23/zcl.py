@@ -23,8 +23,9 @@ is odd exactly for the submasks c of gamma, so the terms are found by
 walking c = (c - 1) & gamma and keeping the b = (r - 3c)/2 that are
 submasks of beta.  Each normal form is a QuotientRing.nf_bits int, and the
 piece keeps, per set bit of a left form, the XOR of the right forms paired
-with it; the piece is nonzero iff some row is.  TensorElement and the
-frozenset pieces (_piece_pairs, graded_piece) stay as the reference.
+with it; the piece is nonzero iff some row is.  TensorElement and
+graded_piece, the frozenset pieces, stay as the reference; the witness is
+read off them here, and the stored one is checked against graded_piece.
 
 A cell whose balanced piece is zero prunes the rest of its scan with the
 ring's nonzero staircase (QuotientRing.nonzero_staircase): the nonzero
@@ -52,6 +53,9 @@ frozenset pieces, is built once, for the final cell.
 Exponent caps come from the heights of w2 and w3: an element of height h
 gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
 forces height(z) = 2^(u+1)-1.
+
+This module searches one ring at a time.  The sweep over n, with its
+stored results, is cache.zcl_results, which runs search_n on parallel_map.
 """
 
 from __future__ import annotations
@@ -444,10 +448,3 @@ def _pool_imap(fn: Callable, items: list, workers: int) -> Iterator:
     import multiprocessing  # only a real pool needs it; keeps `import w23` light
     with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
         yield from pool.imap(fn, items)
-
-
-def zcl_range(lo: int, hi: int, jobs: int = 1) -> list[tuple]:
-    """(n, zcl, witness beta, witness gamma) for lo <= n <= hi, in n order."""
-    ns = list(range(max(lo, 6), hi + 1))
-    results = parallel_map(search_n, ns, jobs)
-    return [(n, res.value, res.beta, res.gamma) for n, res in zip(ns, results)]

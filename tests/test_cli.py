@@ -14,7 +14,7 @@ import pytest
 from w23 import cache
 from w23 import cli as cli_module
 from w23.bounds import tc_table_rows
-from w23.cli import _decode_zcl, main
+from w23.cli import main
 from w23.groebner import closed_form_basis
 from w23.poly import Poly
 from w23.quotient import build_quotient
@@ -188,7 +188,7 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     def no_search(n):
         raise AssertionError(f"W_{n} recomputed")
 
-    monkeypatch.setattr(cli_module, "search_n", no_search)
+    monkeypatch.setattr(cache, "search_n", no_search)
     _, out = run(capsys, "zcl", "7", "--witness", "--cache-dir", str(cache_dir))
     assert out.startswith("zcl(W_7) = 7\nwitness: beta=7 gamma=0 r=8 ")
 
@@ -202,7 +202,7 @@ def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return search_n(n)
 
-    monkeypatch.setattr(cli_module, "search_n", search_until_20)
+    monkeypatch.setattr(cache, "search_n", search_until_20)
     with pytest.raises(KeyboardInterrupt):
         main(["zcl-range", "6", "30", "--cache-dir", str(cache_dir)])
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
@@ -213,16 +213,21 @@ def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
 def _zcl7_payload(**witness):
     w = {"beta": 7, "gamma": 0, "r": 8, "pair": [[1, 2], [0, 2]]}
     w.update(witness)
-    return {"schema_version": cache.SCHEMA_VERSION, "value": 7, "witness": w}
+    header = {"schema_version": cache.SCHEMA_VERSION, "kind": "zcl", "n": 7}
+    return dict(header, value=7, witness=w)
 
 
-def test_cached_zcl_is_checked_before_use():
-    assert _decode_zcl(_zcl7_payload()) == ZclResult(7, 7, 0, 8, ((1, 2), (0, 2)))
+def test_cached_zcl_is_checked_before_use(tmp_path):
+    entry = tmp_path / "zcl-7.json"
+    entry.write_text(json.dumps(_zcl7_payload()))
+    assert cache.load(tmp_path, 7) == ZclResult(7, 7, 0, 8, ((1, 2), (0, 2)))
     bad = [
         None,
-        {"schema_version": cache.SCHEMA_VERSION, "value": 7},  # no witness
+        dict(_zcl7_payload(), n=8),  # stored under another n
+        dict(_zcl7_payload(), kind="zcl-range"),  # another kind of entry
+        {k: v for k, v in _zcl7_payload().items() if k != "witness"},  # no witness
         dict(_zcl7_payload(), value=999),  # value != beta + gamma
-        {"value": 7, "witness": {"beta": 7, "gamma": 0, "pair": [[1, 2], [0, 2]]}},  # no r
+        dict(_zcl7_payload(), witness={"beta": 7, "gamma": 0, "pair": [[1, 2], [0, 2]]}),  # no r
         _zcl7_payload(beta="7"),  # not an int
         _zcl7_payload(beta=True),  # not an int
         _zcl7_payload(beta=10, gamma=-3, pair=[[1, 2], [0, 1]]),  # negative
@@ -232,13 +237,42 @@ def test_cached_zcl_is_checked_before_use():
         _zcl7_payload(pair="xy"),
     ]
     for payload in bad:
-        assert _decode_zcl(payload) is None, payload
+        entry.write_text(json.dumps(payload))
+        assert cache.load(tmp_path, 7) is None, payload
+
+
+def test_copied_entry_is_recomputed(capsys, tmp_path):
+    # the copied witness also survives in W_22, so only the stored n gives it away
+    run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
+    (tmp_path / "zcl-22.json").write_text((tmp_path / "zcl-21.json").read_text())
+    _, out = run(capsys, "zcl", "22", "--cache-dir", str(tmp_path))
+    assert out == "zcl(W_22) = 22\n"
+    stored = json.loads((tmp_path / "zcl-22.json").read_text())
+    assert (stored["n"], stored["value"]) == (22, 22)
+
+
+def test_forged_witness_is_rejected_before_any_piece_scan(capsys, tmp_path, monkeypatch):
+    # self-consistent fields, but w3^gamma is no basis monomial of W_21; a
+    # piece scan from gamma = 10**12 would never finish
+    gamma = 10**12
+    forged = {"beta": 0, "gamma": gamma, "r": 3 * gamma, "pair": [[0, gamma], [0, 0]]}
+    payload = dict(_zcl7_payload(), n=21, value=gamma, witness=forged)
+    (tmp_path / "zcl-21.json").write_text(json.dumps(payload))
+
+    def no_scan(*args):
+        raise AssertionError("a graded piece was scanned")
+
+    monkeypatch.setattr(cache, "graded_piece", no_scan)
+    assert cache.load(tmp_path, 21) is None
+    _, out = run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
+    assert out == "zcl(W_21) = 21\n"
 
 
 def test_cache_store_is_atomic(tmp_path):
-    cache.store(tmp_path, 21, {"value": 21})
+    res = search_n(21)
+    cache.store(tmp_path, 21, res)
     assert [p.name for p in tmp_path.iterdir()] == ["zcl-21.json"]
-    assert cache.load(tmp_path, 21)["value"] == 21
+    assert cache.load(tmp_path, 21) == res
     # a truncated file (from a non-atomic writer or a damaged disk) reads as absent
     entry = tmp_path / "zcl-21.json"
     entry.write_text(entry.read_text()[:-8])
@@ -473,6 +507,21 @@ def test_checked_statements_live_in_verify():
                 alias.name.rpartition(".")[2] == "Check" for alias in node.names
             ):
                 found.append(f"{path.stem} imports Check")
+    assert found == []
+
+
+def test_no_module_imports_a_private_name():
+    # a module's underscore names are its own: no other w23 module imports one
+    package = Path(cli_module.__file__).parent
+    found = [
+        f"{path.stem} imports {node.module}.{alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("w23"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
     assert found == []
 
 

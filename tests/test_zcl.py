@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from w23 import zcl as zcl_module
+from w23.cache import zcl_results
 from w23.cli import main
 from w23.groebner import basis_for
 from w23.poly import W2, W3, Poly
@@ -35,7 +36,6 @@ from w23.zcl import (
     tensor_one,
     z,
     zcl_closed_form,
-    zcl_range,
     zcl_search,
     zcl_wn,
     zero_divisor_product_nonzero,
@@ -201,10 +201,11 @@ def test_upper_bound_lemmas():
 
 
 def test_zcl_range_serial():
-    rows = zcl_range(6, 10)
-    assert [r[:2] for r in rows] == [(6, 2), (7, 7), (8, 7), (9, 7), (10, 8)]
-    for n, value, beta, gamma in rows:
-        assert beta + gamma == value
+    results = zcl_results(range(6, 11))
+    assert {n: res.value for n, res in results.items()} == {6: 2, 7: 7, 8: 7, 9: 7, 10: 8}
+    assert list(results) == [6, 7, 8, 9, 10]
+    for res in results.values():
+        assert res.beta + res.gamma == res.value
 
 
 def test_tensor_element_rejects_bad_input():
@@ -403,8 +404,8 @@ def test_sweep_keeps_no_ring_alive():
     # a fresh process, so no other test's rings are counted
     src = str(Path(zcl_module.__file__).resolve().parents[1])
     probe = (
-        "import gc; from w23.quotient import QuotientRing; from w23.zcl import zcl_range;"
-        " rows = zcl_range(6, 100); gc.collect();"
+        "import gc; from w23.quotient import QuotientRing; from w23.cache import zcl_results;"
+        " rows = zcl_results(range(6, 101)); gc.collect();"
         " print(len(rows), sum(isinstance(o, QuotientRing) for o in gc.get_objects()))"
     )
     out = subprocess.run(
@@ -431,13 +432,15 @@ def test_verify_runs_one_sweep(monkeypatch):
 
 def test_import_leaves_pool_and_cli_unloaded():
     # only a real pool imports multiprocessing, only the entry point imports
-    # cli, and only `w23 verify` imports the suites; the package's records are
-    # named tuples and its rational edge is integer
+    # cli and the result cache (and so json), and only `w23 verify` imports the
+    # suites; the package's records are named tuples and its rational edge is
+    # integer
     src = str(Path(zcl_module.__file__).resolve().parents[1])
     for module, cli_loaded in (("w23", False), ("w23.cli", True)):
         probe = (
             f"import sys, {module}; "
             "print('multiprocessing' in sys.modules, 'w23.cli' in sys.modules, "
+            "'w23.cache' in sys.modules, "
             "[m for m in ('dataclasses', 'inspect', 'fractions', 'w23.verify') "
             "if m in sys.modules])"
         )
@@ -448,7 +451,7 @@ def test_import_leaves_pool_and_cli_unloaded():
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout == f"False {cli_loaded} []\n", module
+        assert out.stdout == f"False {cli_loaded} {cli_loaded} []\n", module
 
 
 def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
