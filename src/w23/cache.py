@@ -9,8 +9,14 @@ nonzero, a lower bound: a smaller value stored under the right n, with a
 valid witness, still passes.  Entries are replaced atomically.
 
 `zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
-the verify suites, storing each n as its result arrives, so a rerun of an
-interrupted sweep resumes after it.
+the verify suites.  It searches the n it could not load in decreasing
+order, so each ring reads the vanishing cells the larger rings before it
+found (zcl.zcl_search, `stair`).  With `--jobs W` the missing n are dealt
+round-robin into W chains, missing[k::W], one per worker, so the chains
+stay balanced; W is parallel_map's pool size.  A chain needs no
+consecutive n: a gap left by a stored entry breaks nothing.  Each worker
+stores each n as it finishes, so a rerun of an interrupted sweep resumes
+where it stopped.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ import json
 import os
 import tempfile
 from collections.abc import Iterable
+from functools import partial
 from pathlib import Path
 
 from .quotient import build_quotient
-from .zcl import ZclResult, graded_piece, parallel_map, search_n
+from .zcl import ZclResult, graded_piece, parallel_map, pool_size, zcl_search
 
 SCHEMA_VERSION = 1
 ENV_VAR = "W23_CACHE_DIR"
@@ -104,16 +111,36 @@ def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
         raise
 
 
+def _sweep(ns: list[int], cache_dir: Path | None) -> dict[int, ZclResult]:
+    """Search each n of ns, which must decrease, down one chain, storing
+    each result as it is found; one worker of zcl_results runs one call.
+
+    The rings share one known-vanishing staircase (see zcl_search): for
+    m > n, I_m lies in I_n, so a cell that vanishes in W_m vanishes in W_n.
+    """
+    if any(a <= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("a chain of rings must run down: ns must strictly decrease")
+    stair: list[int] = []
+    found = {}
+    for n in ns:
+        found[n] = res = zcl_search(build_quotient(n), stair)
+        store(cache_dir, n, res)
+    return found
+
+
 def zcl_results(
     ns: Iterable[int], cache_dir: Path | None = None, jobs: int = 1
 ) -> dict[int, ZclResult]:
     """zcl(W_n) for each n in ns, keyed in ns order: the stored entries that
-    load, and a search (on up to `jobs` workers) for the rest, each stored
-    as it arrives.  With no cache_dir every n is searched and nothing is kept.
+    load, and a search for the rest.  The missing n are searched in
+    decreasing order, dealt round-robin into one chain per worker (up to
+    `jobs`), and each is stored by its worker as it is found.  With no
+    cache_dir every n is searched and nothing is kept.
     """
     found = {n: load(cache_dir, n) for n in ns}
-    missing = [n for n, res in found.items() if res is None]
-    for n, res in zip(missing, parallel_map(search_n, missing, jobs)):
-        found[n] = res
-        store(cache_dir, n, res)
+    missing = sorted((n for n, res in found.items() if res is None), reverse=True)
+    workers = pool_size(jobs, len(missing))
+    chains = [missing[k::workers] for k in range(workers)]
+    for chain in parallel_map(partial(_sweep, cache_dir=cache_dir), chains, jobs):
+        found.update(chain)
     return found

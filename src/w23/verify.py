@@ -466,6 +466,10 @@ def suite_zcl(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
             ((f"n={n}", SMALL_N_ZCL[n], v) for n, v in rows if n <= 14),
         )
     ]
+    # The sweep carries vanishing cells down the ideal chain (I_m in I_n for
+    # m > n), so monotonicity in n follows from how it searches and is kept
+    # only as a consistency check; the closed-form comparison is the
+    # independent check of the searched values.
     if n_max >= 15:  # the checks on searched zcl for n >= 15 need level 4
         checks.append(
             _scan(

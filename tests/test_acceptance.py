@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 from w23.bounds import bounds_row, exceptional_degrees, tc_table_rows
+from w23.cache import zcl_results
 from w23.cli import main
 from w23.groebner import (
     basis_for,
@@ -34,7 +35,7 @@ from w23.verify import (
     verify_membership_lemmas,
     verify_upper_bound_lemmas,
 )
-from w23.zcl import SMALL_N_ZCL, graded_piece, zcl_closed_form, zcl_wn
+from w23.zcl import SMALL_N_ZCL, graded_piece, zcl_closed_form, zcl_search, zcl_wn
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -236,3 +237,12 @@ def test_criterion_8_bounds_layer():
         if b is not None:
             assert a < b and a + b == 3 * n - 5, n
     _stamp(8, "inequality scan, TC table, bounds rows", t0, 5.0)
+
+
+def test_criterion_9_chained_sweep_matches_per_n_walk():
+    t0 = time.perf_counter()
+    chained = zcl_results(range(6, 511))
+    assert list(chained) == list(range(6, 511))
+    for n in range(6, 511):
+        assert chained[n] == zcl_search(build_quotient(n)), n
+    _stamp(9, "the chained sweep equals the per-n walk, n in [6,510]", t0, 60.0)

@@ -18,7 +18,7 @@ from w23.cli import main
 from w23.groebner import closed_form_basis
 from w23.poly import Poly
 from w23.quotient import build_quotient
-from w23.zcl import SMALL_N_ZCL, ZclResult, search_n
+from w23.zcl import SMALL_N_ZCL, ZclResult, zcl_search
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,28 +185,29 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     assert json.loads(entry.read_text()) == good
 
     # a consistent entry is trusted without recomputation
-    def no_search(n):
-        raise AssertionError(f"W_{n} recomputed")
+    def no_search(q, stair=None):
+        raise AssertionError(f"W_{q.n} recomputed")
 
-    monkeypatch.setattr(cache, "search_n", no_search)
+    monkeypatch.setattr(cache, "zcl_search", no_search)
     _, out = run(capsys, "zcl", "7", "--witness", "--cache-dir", str(cache_dir))
     assert out.startswith("zcl(W_7) = 7\nwitness: beta=7 gamma=0 r=8 ")
 
 
 def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
-    # an interrupted sweep keeps every n finished before the interruption
+    # an interrupted sweep keeps every n finished before the interruption;
+    # the sweep runs down from 30, so those are 21..30
     cache_dir = tmp_path / "cache"
 
-    def search_until_20(n):
-        if n == 20:
+    def search_until_20(q, stair=None):
+        if q.n == 20:
             raise KeyboardInterrupt
-        return search_n(n)
+        return zcl_search(q, stair)
 
-    monkeypatch.setattr(cache, "search_n", search_until_20)
+    monkeypatch.setattr(cache, "zcl_search", search_until_20)
     with pytest.raises(KeyboardInterrupt):
         main(["zcl-range", "6", "30", "--cache-dir", str(cache_dir)])
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
-        f"zcl-{n}.json" for n in range(6, 20)
+        f"zcl-{n}.json" for n in range(21, 31)
     )
 
 
@@ -269,7 +270,7 @@ def test_forged_witness_is_rejected_before_any_piece_scan(capsys, tmp_path, monk
 
 
 def test_cache_store_is_atomic(tmp_path):
-    res = search_n(21)
+    res = zcl_search(build_quotient(21))
     cache.store(tmp_path, 21, res)
     assert [p.name for p in tmp_path.iterdir()] == ["zcl-21.json"]
     assert cache.load(tmp_path, 21) == res

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from w23 import cache as cache_module
 from w23 import zcl as zcl_module
 from w23.cache import zcl_results
 from w23.cli import main
@@ -419,15 +420,16 @@ def test_sweep_keeps_no_ring_alive():
 
 
 def test_verify_runs_one_sweep(monkeypatch):
+    # each n is searched once, down the chain from the largest
     searched = []
 
-    def counted(q):
+    def counted(q, stair=None):
         searched.append(q.n)
-        return zcl_search(q)
+        return zcl_search(q, stair)
 
-    monkeypatch.setattr(zcl_module, "zcl_search", counted)
+    monkeypatch.setattr(cache_module, "zcl_search", counted)
     assert failures(run_suites(["zcl", "bounds"], t_max=4)) == []
-    assert searched == list(range(6, 31))
+    assert searched == list(range(30, 5, -1))
 
 
 def test_import_leaves_pool_and_cli_unloaded():
@@ -464,3 +466,66 @@ def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
     assert main(["zcl-range", "6", "14", "--jobs", "64", "--format", "csv"]) == 0
     assert ctx.processes == [3, 8]  # 6..9 had only n=9 missing: no pool
     assert capsys.readouterr().out.endswith("14,16,15,1\n")
+
+
+@pytest.fixture(scope="module")
+def per_n_6_254():
+    """The per-n walk, with no staircase: the oracle for the chained sweep."""
+    return {n: zcl_search(build_quotient(n)) for n in range(6, 255)}
+
+
+def test_chained_sweep_matches_per_n_walk(per_n_6_254, monkeypatch):
+    # the per-n walk tests 7,641 cells on 6..254; the chain answers most of
+    # them, and the sweep scans about 2,459
+    cells = []
+
+    def counted(q, beta, gamma):
+        cells.append((q.n, beta, gamma))
+        return zero_divisor_product_nonzero(q, beta, gamma)
+
+    monkeypatch.setattr(zcl_module, "zero_divisor_product_nonzero", counted)
+    results = zcl_results(range(6, 255))
+    assert list(results) == list(range(6, 255))
+    assert results == per_n_6_254
+    assert len(cells) <= 3000, len(cells)
+
+
+def test_chain_runs_across_stored_gaps(per_n_6_254, tmp_path):
+    for n in (20, 100, 101, 200):
+        cache_module.store(tmp_path, n, per_n_6_254[n])
+    assert zcl_results(range(6, 255), cache_dir=tmp_path) == per_n_6_254
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"zcl-{n}.json" for n in range(6, 255)
+    )
+
+
+def test_round_robin_chains_match_per_n_walk(per_n_6_254, monkeypatch):
+    # two workers run in this process: the stride-2 chains of 6..254
+    ctx = _RecordingContext()
+    monkeypatch.setattr(multiprocessing, "get_context", ctx)
+    monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 2)
+    chains = []
+
+    def recorded(ns, cache_dir):
+        chains.append(ns)
+        return sweep(ns, cache_dir)
+
+    sweep = cache_module._sweep
+    monkeypatch.setattr(cache_module, "_sweep", recorded)
+    assert zcl_results(range(6, 255), jobs=8) == per_n_6_254
+    assert ctx.processes == [2]
+    assert chains == [list(range(254, 5, -2)), list(range(253, 5, -2))]
+
+
+def test_chain_must_run_down():
+    for ns in ([20, 21], [21, 21], [30, 22, 25]):
+        with pytest.raises(ValueError):
+            cache_module._sweep(ns, None)
+
+
+def test_real_pool_matches_serial_sweep(tmp_path):
+    serial = zcl_results(range(6, 63))
+    assert zcl_results(range(6, 63), cache_dir=tmp_path, jobs=2) == serial
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"zcl-{n}.json" for n in range(6, 63)
+    )
