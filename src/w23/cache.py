@@ -11,12 +11,13 @@ valid witness, still passes.  Entries are replaced atomically.
 `zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
 the verify suites.  It searches the n it could not load in decreasing
 order, so each ring reads the vanishing cells the larger rings before it
-found (zcl.zcl_search, `stair`).  With `--jobs W` the missing n are dealt
-round-robin into W chains, missing[k::W], one per worker, so the chains
-stay balanced; W is parallel_map's pool size.  A chain needs no
-consecutive n: a gap left by a stored entry breaks nothing.  Each worker
-stores each n as it finishes, so a rerun of an interrupted sweep resumes
-where it stopped.
+found (zcl.zcl_search, `stair`).  With `--jobs J` the missing n are dealt
+round-robin into W = min(J, CPU count, number of missing n) chains,
+missing[k::W], one per worker, so the chains stay balanced; with one
+worker the one chain runs in this process.  This is the package's one
+process pool.  A chain needs no consecutive n: a gap left by a stored
+entry breaks nothing.  Each worker stores each n as it finishes, so a
+rerun of an interrupted sweep resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import partial
 from pathlib import Path
 
 from .quotient import build_quotient
-from .zcl import ZclResult, graded_piece, parallel_map, pool_size, zcl_search
+from .zcl import ZclResult, graded_piece, zcl_search
 
 SCHEMA_VERSION = 1
 ENV_VAR = "W23_CACHE_DIR"
@@ -64,7 +65,7 @@ def load(cache_dir: Path | None, n: int) -> ZclResult | None:
         w = payload["witness"]
         (b1, c1), (b2, c2) = w["pair"]
         fields = (payload["value"], w["beta"], w["gamma"], w["r"], b1, c1, b2, c2)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     header = (payload.get("schema_version"), payload.get("kind"), payload.get("n"))
     if header != (SCHEMA_VERSION, "zcl", n):
@@ -133,14 +134,24 @@ def zcl_results(
 ) -> dict[int, ZclResult]:
     """zcl(W_n) for each n in ns, keyed in ns order: the stored entries that
     load, and a search for the rest.  The missing n are searched in
-    decreasing order, dealt round-robin into one chain per worker (up to
-    `jobs`), and each is stored by its worker as it is found.  With no
-    cache_dir every n is searched and nothing is kept.
+    decreasing order, dealt round-robin into one chain per worker, and each
+    is stored by its worker as it is found.  The workers are `jobs`, checked
+    at once, clamped to the CPU count and to the number of missing n; with
+    one worker or none the sweep runs in this process and spawns nothing.
+    With no cache_dir every n is searched and nothing is kept.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     found = {n: load(cache_dir, n) for n in ns}
     missing = sorted((n for n, res in found.items() if res is None), reverse=True)
-    workers = pool_size(jobs, len(missing))
+    workers = min(jobs, os.cpu_count() or 1, len(missing))
+    if workers <= 1:
+        found.update(_sweep(missing, cache_dir))
+        return found
+    import multiprocessing  # only a real pool needs it; keeps `import w23.cli` light
+
     chains = [missing[k::workers] for k in range(workers)]
-    for chain in parallel_map(partial(_sweep, cache_dir=cache_dir), chains, jobs):
-        found.update(chain)
+    with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
+        for chain in pool.imap(partial(_sweep, cache_dir=cache_dir), chains):
+            found.update(chain)
     return found

@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 from collections.abc import Callable, Iterable
+from pathlib import Path
 from typing import NamedTuple
 
 from . import cache
@@ -72,6 +73,19 @@ def _jobs_arg(text: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"expected a number of workers >= 1, got {text!r}")
     return jobs
+
+
+def _cache_dir(args, parser) -> Path | None:
+    """The resolved cache directory, created now, so that an unusable path
+    is a usage error before any ring is built."""
+    cache_dir = cache.resolve_cache_dir(args.cache_dir)
+    if cache_dir is not None:
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            source = "--cache-dir" if args.cache_dir else f"${cache.ENV_VAR}"
+            parser.error(f"{source} {str(cache_dir)!r} is not a usable directory: {exc.strerror}")
+    return cache_dir
 
 
 def _poly_json(p: Poly) -> list[dict]:
@@ -185,7 +199,7 @@ def cmd_height(args, parser) -> View:
 def cmd_zcl(args, parser) -> View:
     if args.n < 6:
         parser.error("quotient rings start at n = 6")
-    cache_dir = cache.resolve_cache_dir(args.cache_dir)
+    cache_dir = _cache_dir(args, parser)
     res = cache.zcl_results([args.n], cache_dir, args.jobs)[args.n]
     reference = None
     if args.closed_form_check:
@@ -220,7 +234,7 @@ def cmd_zcl_range(args, parser) -> View:
         parser.error("quotient rings start at n = 6")
     if args.lo > args.hi:
         parser.error("empty range")
-    cache_dir = cache.resolve_cache_dir(args.cache_dir)
+    cache_dir = _cache_dir(args, parser)
     results = cache.zcl_results(range(args.lo, args.hi + 1), cache_dir, args.jobs)
     header = ["n", "zcl", "witness_beta", "witness_gamma"]
     rows = [[n, res.value, res.beta, res.gamma] for n, res in results.items()]

@@ -63,15 +63,15 @@ to vanish at gamma, shared by rings searched in decreasing n: a probe at or
 above it answers "vanishes" without a piece scan, and each cell the scan
 finds to vanish lowers it.  The answers are the scan's, so each result is
 the per-n walk's.  On the 6..254 sweep the chain answers 5,182 of the
-7,641 cell tests.  With no staircase the walk scans every cell it tests,
-and it stays the oracle.  The sweep over n, with its stored results, is
-cache.zcl_results, which runs its chains on parallel_map.
+7,641 cell tests.  A search of one ring seeds its own staircase, which
+answers none of its cells: the walk scans every cell it tests, and it
+stays the oracle.  The sweep over n, with its stored results and its
+pool, is cache.zcl_results.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .poly import Monomial, Poly, lucas_binom_mod2
 from .quotient import QuotientRing
@@ -291,8 +291,6 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
     """
     if beta < 0 or gamma < 0:
         raise ValueError("exponents must be nonnegative")
-    if beta == 0 and gamma == 0:
-        return True
     degrees = _scan_degrees(q, beta, gamma)
     if not degrees:
         return False
@@ -345,14 +343,12 @@ def _witness(q: QuotientRing, beta: int, gamma: int) -> ZclResult:
     raise AssertionError("witness requested for a vanishing product")
 
 
-def _nonzero(q: QuotientRing, beta: int, gamma: int, stair: list[int] | None) -> bool:
+def _nonzero(q: QuotientRing, beta: int, gamma: int, stair: list[int]) -> bool:
     """zero_divisor_product_nonzero, read off the known-vanishing staircase
     where it can be: a cell at or above it vanishes without a scan, and a
     cell the scan finds to vanish lowers it for its gamma and every gamma
-    above.  With no staircase every cell is scanned.
+    above.
     """
-    if stair is None:
-        return zero_divisor_product_nonzero(q, beta, gamma)
     last = len(stair) - 1
     if beta >= stair[min(gamma, last)]:
         return False
@@ -364,9 +360,7 @@ def _nonzero(q: QuotientRing, beta: int, gamma: int, stair: list[int] | None) ->
     return False
 
 
-def _row_end(
-    q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list[int] | None
-) -> int:
+def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list[int]) -> int:
     """The largest g <= gamma_cap with (beta, g) nonzero, given (beta, gamma)
     nonzero.  Exact, as vanishing is upward-closed in gamma.
 
@@ -404,13 +398,14 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     have stopped at its floor beta - 1; so the final cell and the result
     are the same.
 
-    `stair`, if given, is the known-vanishing staircase of a chain of
-    rings searched in decreasing n, and this call reads and lowers it:
-    stair[gamma] is the least beta known to vanish at gamma, and the last
-    entry, 0, covers every larger gamma.  An empty list is first seeded
-    with this ring's caps.  It is sound only for rings of n no larger than
-    every ring it was learned on (see the module docstring).  Its answers
-    are the scan's, so the walk, the result and the witness are unchanged.
+    `stair` is the known-vanishing staircase of a chain of rings searched
+    in decreasing n, and this call reads and lowers it: stair[gamma] is the
+    least beta known to vanish at gamma, and the last entry, 0, covers every
+    larger gamma.  An empty list is first seeded with this ring's caps; with
+    none the call seeds its own, which answers none of its cells.  A
+    staircase is sound only for rings of n no larger than every ring it was
+    learned on (see the module docstring).  Its answers are the scan's, so
+    the walk, the result and the witness are unchanged.
 
     The witness is built once, for the final cell: its first nonzero left
     degree in scan order, and the lexicographically least surviving pair
@@ -419,7 +414,8 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     h2, h3 = q.heights()
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
-    if stair is not None and not stair:  # z(w2)^(beta+1) = z(w3)^(gamma_cap+1) = 0
+    stair = [] if stair is None else stair
+    if not stair:  # z(w2)^(beta+1) = z(w3)^(gamma_cap+1) = 0
         stair += [beta + 1] * (gamma_cap + 1) + [0]
     best: tuple[int, int, int] | None = None  # (value, beta, gamma)
     gamma = 0
@@ -464,28 +460,3 @@ def zcl_closed_form(n: int) -> int:
         return 2 * p + p // 4 - 2
     s = (2 * p - n).bit_length() - 1  # band 2^(t+1)-2^(s+1)+1 <= n <= 2^(t+1)-2^s
     return 3 * p - (2 << s) - 2
-
-
-def pool_size(jobs: int, count: int) -> int:
-    """The workers parallel_map runs `count` items on: `jobs`, checked at
-    once, clamped to the CPU count and to `count`."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return min(jobs, os.cpu_count() or 1, count)
-
-
-def parallel_map(fn: Callable, items: list, jobs: int) -> Iterator:
-    """fn(x) for x in items, yielded in item order as each result arrives,
-    from pool_size(jobs, len(items)) spawned worker processes; with one
-    worker or none, fn runs lazily in this process and nothing is spawned.
-    """
-    workers = pool_size(jobs, len(items))
-    if workers <= 1:
-        return map(fn, items)
-    return _pool_imap(fn, items, workers)
-
-
-def _pool_imap(fn: Callable, items: list, workers: int) -> Iterator:
-    import multiprocessing  # only a real pool needs it; keeps `import w23` light
-    with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
-        yield from pool.imap(fn, items)

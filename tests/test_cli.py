@@ -218,7 +218,7 @@ def _zcl7_payload(**witness):
     return dict(header, value=7, witness=w)
 
 
-def test_cached_zcl_is_checked_before_use(tmp_path):
+def test_cached_zcl_is_checked_before_use(capsys, tmp_path):
     entry = tmp_path / "zcl-7.json"
     entry.write_text(json.dumps(_zcl7_payload()))
     assert cache.load(tmp_path, 7) == ZclResult(7, 7, 0, 8, ((1, 2), (0, 2)))
@@ -237,9 +237,15 @@ def test_cached_zcl_is_checked_before_use(tmp_path):
         _zcl7_payload(pair=[[1, 2]]),  # not a pair
         _zcl7_payload(pair="xy"),
     ]
-    for payload in bad:
-        entry.write_text(json.dumps(payload))
-        assert cache.load(tmp_path, 7) is None, payload
+    nested = "[" * 1000 + "]" * 1000  # json.loads raises RecursionError
+    for text in [json.dumps(payload) for payload in bad] + [nested]:
+        entry.write_text(text)
+        assert cache.load(tmp_path, 7) is None, text[:80]
+    # the command recomputes and rewrites such an entry
+    (tmp_path / "zcl-6.json").write_text(nested)
+    _, out = run(capsys, "zcl", "6", "--cache-dir", str(tmp_path))
+    assert out == "zcl(W_6) = 2\n"
+    assert cache.load(tmp_path, 6).value == 2
 
 
 def test_copied_entry_is_recomputed(capsys, tmp_path):
@@ -287,6 +293,31 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("W23_CACHE_DIR", str(tmp_path / "envcache"))
     run(capsys, "zcl", "6")
     assert (tmp_path / "envcache" / "zcl-6.json").exists()
+
+
+def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # a regular file, or a path under one, is refused before any ring is searched
+    def no_search(q, stair=None):
+        raise AssertionError(f"W_{q.n} searched")
+
+    monkeypatch.setattr(cache, "zcl_search", no_search)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for path in (afile, afile / "sub"):
+        for command in (["zcl", "6"], ["zcl-range", "6", "8"]):
+            for source in ("--cache-dir", cache.ENV_VAR):
+                argv = command
+                if source == cache.ENV_VAR:
+                    monkeypatch.setenv(cache.ENV_VAR, str(path))
+                else:
+                    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+                    argv = [*command, "--cache-dir", str(path)]
+                with pytest.raises(SystemExit) as err:
+                    main(argv)
+                assert err.value.code == 2, (argv, source)
+                (line,) = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+                assert source in line and repr(str(path)) in line, line
+    assert afile.read_text() == ""
 
 
 def test_table_small_n_golden(capsys):
@@ -490,24 +521,30 @@ def test_process_wide_cache_is_the_g_series():
 
 def test_checked_statements_live_in_verify():
     # verify.py is the one home of Check and of every verify_* statement; the
-    # other modules hold computations and the oracles checked against them
+    # other modules hold computations and the oracles checked against them.
+    # cache.py, which runs the one sweep, is the one module with a process pool
     package = Path(cli_module.__file__).parent
     assert not (package / "report.py").exists()
+    homes = {"Check": "verify.py", "multiprocessing": "cache.py"}
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "verify.py":
-            continue
         tree = ast.parse(path.read_text(), str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
-                node.name == "Check" or node.name.startswith("verify_")
-            ):
-                found.append(f"{path.stem}.{node.name}")
+        if path.name != "verify.py":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                    node.name == "Check" or node.name.startswith("verify_")
+                ):
+                    found.append(f"{path.stem}.{node.name}")
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-                alias.name.rpartition(".")[2] == "Check" for alias in node.names
-            ):
-                found.append(f"{path.stem} imports Check")
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names.append(node.module)
+            for name in names:
+                for part in {name.partition(".")[0], name.rpartition(".")[2]}:
+                    if homes.get(part, path.name) != path.name:
+                        found.append(f"{path.stem} imports {part}")
     assert found == []
 
 

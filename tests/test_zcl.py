@@ -33,7 +33,6 @@ from w23.zcl import (
     embed_left,
     embed_right,
     graded_piece,
-    parallel_map,
     tensor_one,
     z,
     zcl_closed_form,
@@ -384,21 +383,25 @@ class _RecordingContext:
         return map(fn, items)
 
 
-def test_parallel_map_clamps_pool_size(monkeypatch):
+def test_sweep_clamps_pool_size(monkeypatch):
+    # the pool is jobs clamped to the CPU count and to the missing n
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", ctx)
-    monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 4)
-    assert list(parallel_map(abs, [-1, -2, -3], jobs=10**9)) == [1, 2, 3]
-    assert list(parallel_map(abs, list(range(-10, 0)), jobs=10**9)) == list(range(10, 0, -1))
-    assert list(parallel_map(abs, list(range(10)), jobs=2)) == list(range(10))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    values = {n: res.value for n, res in zcl_results(range(6, 9), jobs=10**9).items()}
+    assert values == {6: 2, 7: 7, 8: 7}
+    values = {n: res.value for n, res in zcl_results(range(6, 15), jobs=10**9).items()}
+    assert values == SMALL_N_ZCL
+    values = {n: res.value for n, res in zcl_results(range(6, 15), jobs=2).items()}
+    assert values == SMALL_N_ZCL
     assert ctx.processes == [3, 4, 2]
     assert set(ctx.methods) == {"spawn"}
-    # one worker, or one item, runs here without a pool
-    assert list(parallel_map(abs, [-5], jobs=8)) == [5]
-    assert list(parallel_map(abs, [-1, -2], jobs=1)) == [1, 2]
+    # one worker, or one n, runs here without a pool
+    assert zcl_results([9], jobs=8)[9].value == 7
+    assert [res.value for res in zcl_results([6, 7], jobs=1).values()] == [2, 7]
     assert ctx.processes == [3, 4, 2]
     with pytest.raises(ValueError):
-        parallel_map(abs, [1], jobs=0)
+        zcl_results([6], jobs=0)
 
 
 def test_sweep_keeps_no_ring_alive():
@@ -459,7 +462,7 @@ def test_import_leaves_pool_and_cli_unloaded():
 def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", ctx)
-    monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cache_dir = str(tmp_path / "cache")
     assert main(["zcl-range", "6", "8", "--jobs", "64", "--cache-dir", cache_dir]) == 0
     assert main(["zcl-range", "6", "9", "--jobs", "64", "--cache-dir", cache_dir]) == 0
@@ -468,9 +471,35 @@ def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.endswith("14,16,15,1\n")
 
 
+def test_per_n_walk_scans_every_cell_it_tests(monkeypatch):
+    # a search of one ring seeds its own staircase, which answers no cell:
+    # every cell the walk tests is scanned, so the per-n walk stays the
+    # oracle for the chained sweep
+    tested, scanned = [], []
+
+    def counted(calls, f):
+        def wrapper(q, beta, gamma, *rest):
+            calls.append((q.n, beta, gamma))
+            return f(q, beta, gamma, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(zcl_module, "_nonzero", counted(tested, zcl_module._nonzero))
+    monkeypatch.setattr(
+        zcl_module,
+        "zero_divisor_product_nonzero",
+        counted(scanned, zero_divisor_product_nonzero),
+    )
+    for n in (*range(6, 255), 1022, 1408, 1535):
+        tested.clear()
+        scanned.clear()
+        zcl_search(build_quotient(n))
+        assert tested and tested == scanned, n
+
+
 @pytest.fixture(scope="module")
 def per_n_6_254():
-    """The per-n walk, with no staircase: the oracle for the chained sweep."""
+    """The per-n walk, on its own staircase: the oracle for the chained sweep."""
     return {n: zcl_search(build_quotient(n)) for n in range(6, 255)}
 
 
@@ -503,7 +532,7 @@ def test_round_robin_chains_match_per_n_walk(per_n_6_254, monkeypatch):
     # two workers run in this process: the stride-2 chains of 6..254
     ctx = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", ctx)
-    monkeypatch.setattr(zcl_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     chains = []
 
     def recorded(ns, cache_dir):
