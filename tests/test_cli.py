@@ -315,7 +315,7 @@ def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
                 with pytest.raises(SystemExit) as err:
                     main(argv)
                 assert err.value.code == 2, (argv, source)
-                (line,) = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+                line = capsys.readouterr().err.splitlines()[-1]
                 assert source in line and repr(str(path)) in line, line
     assert afile.read_text() == ""
 
