@@ -5,7 +5,8 @@ Run with:  python3 demos/tour_quotient_and_zcl.py
 
 from w23.poly import deg
 from w23.quotient import build_quotient
-from w23.zcl import graded_piece, zcl_closed_form, zcl_search
+from w23.verify import graded_piece
+from w23.zcl import zcl_closed_form, zcl_search
 
 
 def main() -> None:

@@ -4,7 +4,8 @@ Run with:  python3 demos/tour_series_and_groebner.py
 """
 
 from w23.groebner import basis_for, binary_profile, buchberger, reduce_basis
-from w23.gseries import g_explicit, g_recurrence
+from w23.gseries import g_recurrence
+from w23.verify import g_explicit
 
 
 def main() -> None:

@@ -30,7 +30,7 @@ from functools import partial
 from pathlib import Path
 
 from .quotient import build_quotient
-from .zcl import ZclResult, graded_piece, zcl_search
+from .zcl import ZclResult, piece_pairs, zcl_search
 
 SCHEMA_VERSION = 1
 ENV_VAR = "W23_CACHE_DIR"
@@ -56,7 +56,9 @@ def load(cache_dir: Path | None, n: int) -> ZclResult | None:
     fields are nonnegative ints with value = beta + gamma; the pair's degrees
     are r and 2*beta + 3*gamma - r; both monomials are basis monomials of
     W_n, which bounds the piece scan by the ring's top degree; and the pair
-    survives in the left-degree-r piece of z(w2)^beta*z(w3)^gamma.
+    survives in the left-degree-r piece of z(w2)^beta*z(w3)^gamma.  The
+    piece comes from zcl.piece_pairs, the function the search reads its
+    own witness off.
     """
     if cache_dir is None:
         return None
@@ -81,7 +83,7 @@ def load(cache_dir: Path | None, n: int) -> ZclResult | None:
     pair = ((b1, c1), (b2, c2))
     if not (pair[0] in q.basis and pair[1] in q.basis):
         return None
-    if pair not in graded_piece(q, beta, gamma, r).element.pairs:
+    if pair[1] not in piece_pairs(q, beta, gamma, r).get(pair[0], ()):
         return None
     return ZclResult(value, beta, gamma, r, pair)
 

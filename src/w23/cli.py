@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import cache
-from .bounds import bounds_row, tc_table_rows
 from .gseries import g_recurrence
 from .groebner import basis_for, binary_profile
 from .poly import Poly, mono_text, poly_text
@@ -66,6 +65,13 @@ def _range_arg(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _ring_arg(text: str) -> int:
+    n = int(text) if text.isdecimal() else 0
+    if n < 6:
+        raise argparse.ArgumentTypeError(f"quotient rings start at n = 6, got {text!r}")
+    return n
 
 
 def _jobs_arg(text: str) -> int:
@@ -133,8 +139,6 @@ def cmd_groebner(args, parser) -> View:
 
 
 def cmd_basis(args, parser) -> View:
-    if args.n < 6:
-        parser.error("quotient rings start at n = 6")
     if args.degree is not None and args.degree < 0:
         parser.error("degrees start at 0")
     q = build_quotient(args.n)
@@ -170,8 +174,6 @@ def cmd_basis(args, parser) -> View:
 
 
 def cmd_nf(args, parser) -> View:
-    if args.n < 6:
-        parser.error("quotient rings start at n = 6")
     if args.b < 0 or args.c < 0:
         parser.error("exponents must be nonnegative")
     p = nf_monomial(build_quotient(args.n), args.b, args.c)
@@ -182,8 +184,6 @@ def cmd_nf(args, parser) -> View:
 
 
 def cmd_height(args, parser) -> View:
-    if args.n < 6:
-        parser.error("quotient rings start at n = 6")
     if args.brute or args.n < 7:
         h = brute_heights(build_quotient(args.n))
         method = "brute"
@@ -197,8 +197,6 @@ def cmd_height(args, parser) -> View:
 
 
 def cmd_zcl(args, parser) -> View:
-    if args.n < 6:
-        parser.error("quotient rings start at n = 6")
     cache_dir = _cache_dir(args, parser)
     res = cache.zcl_results([args.n], cache_dir, args.jobs)[args.n]
     reference = None
@@ -230,8 +228,6 @@ def cmd_zcl(args, parser) -> View:
 
 
 def cmd_zcl_range(args, parser) -> View:
-    if args.lo < 6:
-        parser.error("quotient rings start at n = 6")
     if args.lo > args.hi:
         parser.error("empty range")
     cache_dir = _cache_dir(args, parser)
@@ -246,6 +242,8 @@ def cmd_zcl_range(args, parser) -> View:
 
 
 def cmd_bounds(args, parser) -> View:
+    from .bounds import bounds_row
+
     if args.n < 15:
         parser.error("bounds rows start at n = 15")
     row = bounds_row(args.n, zcl_closed_form(args.n))
@@ -303,6 +301,8 @@ def _table_heights(parser, lo: int, hi: int) -> View:
 
 
 def _table_tc(parser, t_lo: int, t_hi: int) -> View:
+    from .bounds import tc_table_rows
+
     if t_lo < 4:
         parser.error("the tc table starts at level t = 4")
     levels = [(t, tc_table_rows(t)) for t in range(t_lo, t_hi + 1)]
@@ -395,20 +395,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
 
     p = command("basis", cmd_basis, "additive basis of W_n", with_csv)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_ring_arg)
     p.add_argument("--degree", type=int, help="restrict to one degree")
 
     p = command("nf", cmd_nf, "normal form of w2^b*w3^c in W_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_ring_arg)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
 
     p = command("height", cmd_height, "heights of w2 and w3 in W_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_ring_arg)
     p.add_argument("--brute", action="store_true", help="force power iteration")
 
     p = command("zcl", cmd_zcl, "zero-divisor cup-length of W_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_ring_arg)
     p.add_argument("--witness", action="store_true", help="print the maximizing cell")
     p.add_argument(
         "--closed-form-check",
@@ -419,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help=cache_help)
 
     p = command("zcl-range", cmd_zcl_range, "zcl(W_n) for a range of n", with_csv)
-    p.add_argument("lo", type=int)
+    p.add_argument("lo", type=_ring_arg)
     p.add_argument("hi", type=int)
     p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes")
     p.add_argument("--cache-dir", help=cache_help)

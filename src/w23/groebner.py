@@ -9,7 +9,10 @@ where 2^t-1 <= n < 2^{t+1}-1 and alpha/s come from the binary digits of
 n - 2^t + 1.  F_n is already reduced.  buchberger computes a basis from
 arbitrary generators; it is the fallback for n < 7 and, with reduce_basis,
 the cross-check oracle for the closed form (the reduced basis is unique, so
-F_n must equal the reduced Buchberger basis).
+F_n must equal the reduced Buchberger basis).  buchberger, reduce_basis
+and normal_form stay in this module because basis_for runs them for
+n < 7.  Ideal membership by reduction to zero, which only the checks read,
+is verify.ideal_member.
 
 Everything uses the one fixed monomial order of this package: lex with
 w2 > w3.
@@ -233,14 +236,3 @@ def basis_for(n: int) -> GroebnerBasis:
     gens = [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]
     return reduce_basis(buchberger(gens, n=n))
 
-
-def ideal_member(p: Poly, n: int) -> bool:
-    """p in I_n, decided by reduction to zero."""
-    return not normal_form(p, basis_for(n))
-
-
-def w3_ideal_member(p: Poly, n: int) -> bool:
-    """p in w3*I_n: w3 divides every term and the quotient lies in I_n."""
-    if any(c == 0 for _, c in p.terms):
-        return False
-    return ideal_member(Poly._raw(frozenset((b, c - 1) for b, c in p.terms)), n)

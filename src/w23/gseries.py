@@ -2,12 +2,11 @@
 
 These are the homogeneous polynomials defined by inverting 1 + w2 + w3 in
 the power-series ring: (1 + w2 + w3)(g_0 + g_1 + g_2 + ...) = 1, where g_r
-collects the degree-r part.  Two independent constructions are provided:
-
-* the three-term recurrence g_{r+3} = w2*g_{r+1} + w3*g_r with seeds
-  g_0 = 1, g_1 = 0, g_2 = w2 (the production path, `g_recurrence`), and
-* the explicit sum g_r = sum of C(d+e, e)*w2^d*w3^e over 2d+3e = r with
-  the binomial taken mod 2 (the test oracle, `g_explicit`).
+collects the degree-r part.  They are built here by the three-term
+recurrence g_{r+3} = w2*g_{r+1} + w3*g_r with seeds g_0 = 1, g_1 = 0,
+g_2 = w2 (`g_recurrence`).  The independent construction it is checked
+against, the explicit sum g_r = sum of C(d+e, e)*w2^d*w3^e over 2d+3e = r
+with the binomial taken mod 2, is `verify.g_explicit`.
 
 The recurrence runs on packed rows.  Since g_r is homogeneous of degree r,
 the w3 exponent c fixes its term: bit c of the int row r stands for
@@ -20,7 +19,7 @@ The ideal studied elsewhere in this package is I_n = (g_{n-2}, g_{n-1}, g_n).
 
 from __future__ import annotations
 
-from .poly import Poly, lucas_binom_mod2
+from .poly import Poly
 
 
 class GSeries:
@@ -67,17 +66,3 @@ def g_recurrence(r: int) -> Poly:
     """g_r from the recurrence, memoized in the process-wide series."""
     return _shared.g(r)
 
-
-def g_explicit(r: int) -> Poly:
-    """g_r from the explicit formula; pure, no cache."""
-    if r < 0:
-        raise ValueError("g_r is defined for r >= 0")
-    terms = []
-    for e in range(r // 3 + 1):
-        rem = r - 3 * e
-        if rem % 2:
-            continue
-        d = rem // 2
-        if lucas_binom_mod2(d + e, e):
-            terms.append((d, e))
-    return Poly._raw(frozenset(terms))

@@ -5,8 +5,13 @@ stated identity or vanishing the results rest on: the g3 lemma, the shifted
 squares and index doubling of the g-series, the membership lemmas m1, c1, m2
 and c2, the z identities, the upper-bound vanishings, the level inequality
 6n + height(z(w2)) < 3(|a| + zcl) + 16 and the two readings of the
-exactness edge.  The computation modules keep only their computations and
-the oracles checked against them.
+exactness edge.
+
+It also holds the oracles that only checks read, so that only `w23 verify`
+loads them: the explicit sum for g_r (`g_explicit`), ideal membership by
+reduction (`ideal_member`), and the tensor square on frozensets of pairs
+(`TensorElement`, `z`, `graded_piece`).  Buchberger and heap division stay
+in groebner, since basis_for runs them for n < 7.
 
 Each suite returns a list of Check records and is deterministic (random
 sampling is seeded, parallel runs merge in n order).  `t_max` scales the
@@ -24,27 +29,180 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import bounds as bounds_mod
 from .cache import zcl_results
-from .gseries import g_explicit, g_recurrence
-from .groebner import (
-    basis_for,
-    buchberger,
-    binary_profile,
-    ideal_member,
-    normal_form,
-    reduce_basis,
-    w3_ideal_member,
-)
-from .poly import W2, W3, ZERO, Poly, deg
+from .gseries import g_recurrence
+from .groebner import basis_for, binary_profile, buchberger, normal_form, reduce_basis
+from .poly import W2, W3, ZERO, Poly, deg, lucas_binom_mod2
 from .quotient import QuotientRing, build_quotient, class_nonzero, heights_closed_form
 from .zcl import (
     SMALL_N_ZCL,
-    embed_right,
-    graded_piece,
-    nf_poly,
-    z,
+    Pair,
+    piece_pairs,
     zcl_closed_form,
     zero_divisor_product_nonzero,
 )
+
+
+def g_explicit(r: int) -> Poly:
+    """g_r from the explicit formula; pure, no cache."""
+    if r < 0:
+        raise ValueError("g_r is defined for r >= 0")
+    terms = []
+    for e in range(r // 3 + 1):
+        rem = r - 3 * e
+        if rem % 2:
+            continue
+        d = rem // 2
+        if lucas_binom_mod2(d + e, e):
+            terms.append((d, e))
+    return Poly._raw(frozenset(terms))
+
+
+def ideal_member(p: Poly, n: int) -> bool:
+    """p in I_n, decided by reduction to zero."""
+    return not normal_form(p, basis_for(n))
+
+
+def w3_ideal_member(p: Poly, n: int) -> bool:
+    """p in w3*I_n: w3 divides every term and the quotient lies in I_n."""
+    if any(c == 0 for _, c in p.terms):
+        return False
+    return ideal_member(Poly._raw(frozenset((b, c - 1) for b, c in p.terms)), n)
+
+
+class TensorElement:
+    """An element of W_n (x) W_n: a frozenset of basis-monomial pairs."""
+
+    __slots__ = ("ring", "pairs")
+
+    def __init__(self, ring: QuotientRing, pairs: Iterable[Pair] = ()):
+        ps = frozenset(pairs)
+        for m1, m2 in ps:
+            if m1 not in ring.basis or m2 not in ring.basis:
+                raise ValueError(f"({m1}, {m2}) is not a pair of basis monomials of W_{ring.n}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "pairs", ps)
+
+    @classmethod
+    def _raw(cls, ring: QuotientRing, pairs: frozenset) -> "TensorElement":
+        el = object.__new__(cls)
+        object.__setattr__(el, "ring", ring)
+        object.__setattr__(el, "pairs", pairs)
+        return el
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TensorElement is immutable")
+
+    def __bool__(self) -> bool:
+        return bool(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TensorElement)
+            and self.ring is other.ring
+            and self.pairs == other.pairs
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.ring), self.pairs))
+
+    def _check_ring(self, other: "TensorElement") -> None:
+        if self.ring is not other.ring:
+            raise ValueError("tensor elements of different rings")
+
+    def __add__(self, other: "TensorElement") -> "TensorElement":
+        self._check_ring(other)
+        return TensorElement._raw(self.ring, self.pairs ^ other.pairs)
+
+    def __mul__(self, other: "TensorElement") -> "TensorElement":
+        self._check_ring(other)
+        q = self.ring
+        acc: set = set()
+        for a1, a2 in self.pairs:
+            for b1, b2 in other.pairs:
+                left = q.nf_set(a1[0] + b1[0], a1[1] + b1[1])
+                if not left:
+                    continue
+                right = q.nf_set(a2[0] + b2[0], a2[1] + b2[1])
+                if not right:
+                    continue
+                acc ^= {(l, r) for l in left for r in right}
+        return TensorElement._raw(q, frozenset(acc))
+
+    def _square(self) -> "TensorElement":
+        q = self.ring
+        acc: set = set()
+        for m1, m2 in self.pairs:  # char-2 Frobenius; cross terms cancel
+            left = q.nf_set(2 * m1[0], 2 * m1[1])
+            if not left:
+                continue
+            right = q.nf_set(2 * m2[0], 2 * m2[1])
+            if not right:
+                continue
+            acc ^= {(l, r) for l in left for r in right}
+        return TensorElement._raw(q, frozenset(acc))
+
+    def __pow__(self, e: int) -> "TensorElement":
+        if e < 0:
+            raise ValueError("negative exponent")
+        result = tensor_one(self.ring)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base._square()
+        return result
+
+    def swap(self) -> "TensorElement":
+        return TensorElement._raw(
+            self.ring, frozenset((m2, m1) for m1, m2 in self.pairs)
+        )
+
+    def __repr__(self) -> str:
+        return f"TensorElement(n={self.ring.n}, {len(self.pairs)} pairs)"
+
+
+def tensor_one(q: QuotientRing) -> TensorElement:
+    return TensorElement._raw(q, frozenset({((0, 0), (0, 0))}))
+
+
+def embed_left(q: QuotientRing, p: Poly) -> TensorElement:
+    """p (x) 1, for p already in normal form."""
+    return TensorElement._raw(q, frozenset((m, (0, 0)) for m in p.terms))
+
+
+def embed_right(q: QuotientRing, p: Poly) -> TensorElement:
+    """1 (x) p, for p already in normal form."""
+    return TensorElement._raw(q, frozenset(((0, 0), m) for m in p.terms))
+
+
+def nf_poly(q: QuotientRing, p: Poly) -> Poly:
+    acc: set = set()
+    for b, c in p.terms:
+        acc ^= q.nf_set(b, c)
+    return Poly._raw(frozenset(acc))
+
+
+def z(q: QuotientRing, p: Poly) -> TensorElement:
+    """The zero divisor of a ring class: z(a) = a (x) 1 + 1 (x) a."""
+    npoly = nf_poly(q, p)
+    return embed_left(q, npoly) + embed_right(q, npoly)
+
+
+class GradedPiece(NamedTuple):
+    r: int
+    beta: int
+    gamma: int
+    element: TensorElement
+
+
+def graded_piece(q: QuotientRing, beta: int, gamma: int, r: int) -> GradedPiece:
+    if beta < 0 or gamma < 0 or not 0 <= r <= 2 * beta + 3 * gamma:
+        raise ValueError("left degree out of range")
+    acc = piece_pairs(q, beta, gamma, r)
+    pairs = frozenset((m, mm) for m, rights in acc.items() for mm in rights)
+    return GradedPiece(r, beta, gamma, TensorElement._raw(q, pairs))
 
 
 class Check(NamedTuple):

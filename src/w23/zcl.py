@@ -23,9 +23,11 @@ is odd exactly for the submasks c of gamma, so the terms are found by
 walking c = (c - 1) & gamma and keeping the b = (r - 3c)/2 that are
 submasks of beta.  Each normal form is a QuotientRing.nf_bits int, and the
 piece keeps, per set bit of a left form, the XOR of the right forms paired
-with it; the piece is nonzero iff some row is.  TensorElement and
-graded_piece, the frozenset pieces, stay as the reference; the witness is
-read off them here, and the stored one is checked against graded_piece.
+with it; the piece is nonzero iff some row is.  piece_pairs computes one
+piece on sets of monomial pairs: the witness is read off it, and
+cache.load checks a stored witness against it.  The tensor-square
+arithmetic the pieces are checked against, TensorElement, z and
+graded_piece, is read only by the checks, so it lives in verify.
 
 A cell whose balanced piece is zero prunes the rest of its scan with the
 ring's nonzero staircase (QuotientRing.nonzero_staircase): the nonzero
@@ -48,8 +50,8 @@ doubling distances and a bisection, then resumes one row higher at
 beta - 1.  Each skipped row would have found beta nonzero, a strict
 improvement, so the final cell is the row-by-row walk's.  At W_1408, where
 the staircase is one flat row, that is 10 cells tested instead of 512.
-The walk tracks only the best cell's (value, beta, gamma); the witness, on
-frozenset pieces, is built once, for the final cell.
+The walk tracks only the best cell's (value, beta, gamma); the witness, read
+off piece_pairs, is built once, for the final cell.
 Exponent caps come from the heights of w2 and w3: an element of height h
 gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
 forces height(z) = 2^(u+1)-1.
@@ -71,9 +73,9 @@ pool, is cache.zcl_results.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .poly import Monomial, Poly, lucas_binom_mod2
+from .poly import Monomial, lucas_binom_mod2
 from .quotient import QuotientRing
 
 SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
@@ -81,136 +83,10 @@ SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
 Pair = tuple  # (Monomial, Monomial)
 
 
-class TensorElement:
-    """An element of W_n (x) W_n: a frozenset of basis-monomial pairs."""
-
-    __slots__ = ("ring", "pairs")
-
-    def __init__(self, ring: QuotientRing, pairs: Iterable[Pair] = ()):
-        ps = frozenset(pairs)
-        for m1, m2 in ps:
-            if m1 not in ring.basis or m2 not in ring.basis:
-                raise ValueError(f"({m1}, {m2}) is not a pair of basis monomials of W_{ring.n}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "pairs", ps)
-
-    @classmethod
-    def _raw(cls, ring: QuotientRing, pairs: frozenset) -> "TensorElement":
-        el = object.__new__(cls)
-        object.__setattr__(el, "ring", ring)
-        object.__setattr__(el, "pairs", pairs)
-        return el
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.ring is other.ring
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.ring), self.pairs))
-
-    def _check_ring(self, other: "TensorElement") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("tensor elements of different rings")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check_ring(other)
-        return TensorElement._raw(self.ring, self.pairs ^ other.pairs)
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        self._check_ring(other)
-        q = self.ring
-        acc: set = set()
-        for a1, a2 in self.pairs:
-            for b1, b2 in other.pairs:
-                left = q.nf_set(a1[0] + b1[0], a1[1] + b1[1])
-                if not left:
-                    continue
-                right = q.nf_set(a2[0] + b2[0], a2[1] + b2[1])
-                if not right:
-                    continue
-                acc ^= {(l, r) for l in left for r in right}
-        return TensorElement._raw(q, frozenset(acc))
-
-    def _square(self) -> "TensorElement":
-        q = self.ring
-        acc: set = set()
-        for m1, m2 in self.pairs:  # char-2 Frobenius; cross terms cancel
-            left = q.nf_set(2 * m1[0], 2 * m1[1])
-            if not left:
-                continue
-            right = q.nf_set(2 * m2[0], 2 * m2[1])
-            if not right:
-                continue
-            acc ^= {(l, r) for l in left for r in right}
-        return TensorElement._raw(q, frozenset(acc))
-
-    def __pow__(self, e: int) -> "TensorElement":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = tensor_one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base._square()
-        return result
-
-    def swap(self) -> "TensorElement":
-        return TensorElement._raw(
-            self.ring, frozenset((m2, m1) for m1, m2 in self.pairs)
-        )
-
-    def __repr__(self) -> str:
-        return f"TensorElement(n={self.ring.n}, {len(self.pairs)} pairs)"
-
-
-def tensor_one(q: QuotientRing) -> TensorElement:
-    return TensorElement._raw(q, frozenset({((0, 0), (0, 0))}))
-
-
-def embed_left(q: QuotientRing, p: Poly) -> TensorElement:
-    """p (x) 1, for p already in normal form."""
-    return TensorElement._raw(q, frozenset((m, (0, 0)) for m in p.terms))
-
-
-def embed_right(q: QuotientRing, p: Poly) -> TensorElement:
-    """1 (x) p, for p already in normal form."""
-    return TensorElement._raw(q, frozenset(((0, 0), m) for m in p.terms))
-
-
-def nf_poly(q: QuotientRing, p: Poly) -> Poly:
-    acc: set = set()
-    for b, c in p.terms:
-        acc ^= q.nf_set(b, c)
-    return Poly._raw(frozenset(acc))
-
-
-def z(q: QuotientRing, p: Poly) -> TensorElement:
-    """The zero divisor of a ring class: z(a) = a (x) 1 + 1 (x) a."""
-    npoly = nf_poly(q, p)
-    return embed_left(q, npoly) + embed_right(q, npoly)
-
-
-class GradedPiece(NamedTuple):
-    r: int
-    beta: int
-    gamma: int
-    element: TensorElement
-
-
-def _piece_pairs(q: QuotientRing, beta: int, gamma: int, r: int) -> dict:
-    """Left-degree-r part of z(w2)^beta*z(w3)^gamma, keyed by left monomial."""
+def piece_pairs(q: QuotientRing, beta: int, gamma: int, r: int) -> dict:
+    """The left-degree-r piece of z(w2)^beta*z(w3)^gamma, as a dict from each
+    left basis monomial to the set of right monomials paired with it; a set
+    may be empty where its terms cancel."""
     acc: dict[Monomial, set] = {}
     for c in range(min(gamma, r // 3) + 1):
         rem = r - 3 * c
@@ -232,14 +108,6 @@ def _piece_pairs(q: QuotientRing, beta: int, gamma: int, r: int) -> dict:
             else:
                 got.symmetric_difference_update(right)
     return acc
-
-
-def graded_piece(q: QuotientRing, beta: int, gamma: int, r: int) -> GradedPiece:
-    if beta < 0 or gamma < 0 or not 0 <= r <= 2 * beta + 3 * gamma:
-        raise ValueError("left degree out of range")
-    acc = _piece_pairs(q, beta, gamma, r)
-    pairs = frozenset((m, mm) for m, rights in acc.items() for mm in rights)
-    return GradedPiece(r, beta, gamma, TensorElement._raw(q, pairs))
 
 
 def _scan_degrees(q: QuotientRing, beta: int, gamma: int):
@@ -336,7 +204,7 @@ def _zcap(h: int) -> int:
 
 def _witness(q: QuotientRing, beta: int, gamma: int) -> ZclResult:
     for r in _scan_degrees(q, beta, gamma):
-        acc = _piece_pairs(q, beta, gamma, r)
+        acc = piece_pairs(q, beta, gamma, r)
         pairs = {(m, mm) for m, ms in acc.items() for mm in ms}
         if pairs:
             return ZclResult(beta + gamma, beta, gamma, r, min(pairs))

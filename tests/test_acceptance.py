@@ -18,24 +18,26 @@ from w23.groebner import (
     binary_profile,
     buchberger,
     closed_form_basis,
-    ideal_member,
     normal_form,
     reduce_basis,
-    w3_ideal_member,
 )
-from w23.gseries import g_explicit, g_recurrence
+from w23.gseries import g_recurrence
 from w23.poly import W3, Poly, deg
 from w23.quotient import brute_heights, build_quotient, class_nonzero, heights_closed_form
 from w23.verify import (
     failures,
+    g_explicit,
+    graded_piece,
+    ideal_member,
     verify_doubling,
     verify_g3_lemma,
     verify_ineq_arithmetic,
     verify_kvadriranje,
     verify_membership_lemmas,
     verify_upper_bound_lemmas,
+    w3_ideal_member,
 )
-from w23.zcl import SMALL_N_ZCL, graded_piece, zcl_closed_form, zcl_search, zcl_wn
+from w23.zcl import SMALL_N_ZCL, zcl_closed_form, zcl_search, zcl_wn
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,7 +203,7 @@ def test_criterion_7_property_suite():
                 assert both == fast ^ q.nf_set(*prev), (n, (b, c), prev)
             prev = (b, c)
 
-    from w23.zcl import z
+    from w23.verify import z
     from w23.poly import W2
 
     for n in (8, 15, 21):

@@ -4,20 +4,25 @@ import argparse
 import ast
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w23 import cache
 from w23 import cli as cli_module
 from w23.bounds import tc_table_rows
 from w23.cli import main
 from w23.groebner import closed_form_basis
-from w23.poly import Poly
+from w23.poly import W2, W3, Poly
 from w23.quotient import build_quotient
+from w23.verify import z
 from w23.zcl import SMALL_N_ZCL, ZclResult, zcl_search
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -269,10 +274,82 @@ def test_forged_witness_is_rejected_before_any_piece_scan(capsys, tmp_path, monk
     def no_scan(*args):
         raise AssertionError("a graded piece was scanned")
 
-    monkeypatch.setattr(cache, "graded_piece", no_scan)
+    monkeypatch.setattr(cache, "piece_pairs", no_scan)
     assert cache.load(tmp_path, 21) is None
     _, out = run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
     assert out == "zcl(W_21) = 21\n"
+
+
+# paths into a stored entry: every field that can go, and every int field
+_FIELDS = [("schema_version",), ("kind",), ("n",), ("value",), ("witness",)] + [
+    ("witness", key) for key in ("beta", "gamma", "r", "pair")
+]
+_INT_FIELDS = [("schema_version",), ("n",), ("value",)] + [
+    ("witness", key) for key in ("beta", "gamma", "r")
+] + [("witness", "pair", i, j) for i in (0, 1) for j in (0, 1)]
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_FIELDS)),
+    st.tuples(st.just("retype"), st.sampled_from(_INT_FIELDS), st.sampled_from([bool, str, float, list])),
+    st.tuples(st.just("shift"), st.sampled_from(_INT_FIELDS), st.sampled_from([-1, 1])),
+    st.tuples(st.just("huge"), st.sampled_from(_INT_FIELDS), st.sampled_from([2**64, 10**400])),
+    st.tuples(st.just("move"), st.integers(6, 40)),
+)
+
+
+@pytest.fixture(scope="module")
+def searched_6_40():
+    return cache.zcl_results(range(6, 41))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(n=st.integers(6, 40), mutation=_MUTATIONS)
+def test_load_serves_a_mutated_entry_only_as_searched(searched_6_40, n, mutation):
+    # whatever one mutation does to a valid entry, load answers None or the
+    # searched result, never another value
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_dir = Path(tmp)
+        cache.store(cache_dir, n, searched_6_40[n])
+        entry_file = cache_dir / f"zcl-{n}.json"
+        kind, *args = mutation
+        target = n
+        if kind == "move":  # the file as it is, under another n
+            target = args[0]
+            entry_file.rename(cache_dir / f"zcl-{target}.json")
+        else:
+            entry = json.loads(entry_file.read_text())
+            (*parents, last), arg = args[0], args[-1]
+            holder = entry
+            for key in parents:
+                holder = holder[key]
+            if kind == "drop":
+                del holder[last]
+            elif kind == "retype":
+                holder[last] = [holder[last]] if arg is list else arg(holder[last])
+            elif kind == "shift":
+                holder[last] += arg
+            else:
+                holder[last] = arg
+            entry_file.write_text(json.dumps(entry))
+        assert cache.load(cache_dir, target) in (None, searched_6_40[target])
+
+
+def test_load_accepts_exactly_the_surviving_pairs(searched_6_40, tmp_path):
+    # of the basis pairs in the witness's two degrees, load serves exactly
+    # those that survive in z(w2)^beta*z(w3)^gamma, taken from the full
+    # product in the tensor-square oracle
+    refused = 0
+    for n, res in searched_6_40.items():
+        q = build_quotient(n)
+        product = (z(q, W2) ** res.beta * z(q, W3) ** res.gamma).pairs
+        degrees = q.by_degree()
+        lefts = degrees.get(res.r, [])
+        rights = degrees.get(2 * res.beta + 3 * res.gamma - res.r, [])
+        for pair in itertools.product(lefts, rights):
+            cache.store(tmp_path, n, res._replace(pair=pair))
+            served = cache.load(tmp_path, n)
+            assert served == (res._replace(pair=pair) if pair in product else None), (n, pair)
+            refused += served is None
+    assert refused > 0
 
 
 def test_cache_store_is_atomic(tmp_path):
@@ -427,6 +504,10 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "g-series", "--cache-dir", "x"],
         ["table", "small-n", "--t", "1..2"],
         ["table", "heights", "7..8", "--t", "99"],
+        ["basis", "5"],
+        ["nf", "5", "0", "0"],
+        ["height", "5"],
+        ["zcl-range", "5", "8"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -519,22 +600,47 @@ def test_process_wide_cache_is_the_g_series():
     assert found == ["gseries._shared"]
 
 
+# the oracles that only checks read
+ORACLES = (
+    "TensorElement",
+    "tensor_one",
+    "embed_left",
+    "embed_right",
+    "nf_poly",
+    "z",
+    "GradedPiece",
+    "graded_piece",
+    "g_explicit",
+    "ideal_member",
+    "w3_ideal_member",
+)
+
+
 def test_checked_statements_live_in_verify():
-    # verify.py is the one home of Check and of every verify_* statement; the
-    # other modules hold computations and the oracles checked against them.
-    # cache.py, which runs the one sweep, is the one module with a process pool
+    # verify.py is the one home of Check, of every verify_* statement and of
+    # the oracles only checks read, so that only `w23 verify` loads them; the
+    # other modules hold what the commands run.  cache.py, which runs the one
+    # sweep, is the one module with a process pool
     package = Path(cli_module.__file__).parent
     assert not (package / "report.py").exists()
     homes = {"Check": "verify.py", "multiprocessing": "cache.py"}
+    homes.update(dict.fromkeys(ORACLES, "verify.py"))
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        if path.name != "verify.py":
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
-                    node.name == "Check" or node.name.startswith("verify_")
-                ):
-                    found.append(f"{path.stem}.{node.name}")
+        defined = [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        if path.name == "verify.py":
+            found += [f"verify lacks {name}" for name in ORACLES if name not in defined]
+        else:
+            found += [
+                f"{path.stem}.{name}"
+                for name in defined
+                if name == "Check" or name.startswith("verify_") or name in ORACLES
+            ]
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue

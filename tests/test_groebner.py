@@ -15,13 +15,11 @@ from w23.groebner import (
     binary_profile,
     buchberger,
     closed_form_basis,
-    ideal_member,
     normal_form,
     reduce_basis,
-    w3_ideal_member,
 )
 from w23.poly import ONE, W2, W3, ZERO, Poly
-from w23.verify import failures, verify_membership_lemmas
+from w23.verify import failures, ideal_member, verify_membership_lemmas, w3_ideal_member
 
 
 def mono(b, c):

@@ -9,9 +9,15 @@ import pytest
 
 from w23 import gseries as gseries_module
 from w23.groebner import binary_profile
-from w23.gseries import GSeries, g_explicit, g_recurrence
+from w23.gseries import GSeries, g_recurrence
 from w23.poly import W2, W3, ZERO, poly_text
-from w23.verify import failures, verify_doubling, verify_g3_lemma, verify_kvadriranje
+from w23.verify import (
+    failures,
+    g_explicit,
+    verify_doubling,
+    verify_g3_lemma,
+    verify_kvadriranje,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -17,24 +17,24 @@ from w23.groebner import basis_for
 from w23.poly import W2, W3, Poly
 from w23.quotient import QuotientRing, build_quotient
 from w23.verify import (
+    TensorElement,
+    embed_left,
+    embed_right,
     failures,
+    graded_piece,
     run_suites,
+    tensor_one,
     verify_upper_bound_lemmas,
     verify_zero_divisor_algebra,
+    z,
 )
 from w23.zcl import (
     SMALL_N_ZCL,
-    TensorElement,
     ZclResult,
-    _piece_pairs,
     _scan_degrees,
     _witness,
     _zcap,
-    embed_left,
-    embed_right,
-    graded_piece,
-    tensor_one,
-    z,
+    piece_pairs,
     zcl_closed_form,
     zcl_search,
     zcl_wn,
@@ -232,7 +232,7 @@ def test_packed_cells_match_tensor_product():
             for beta in range(_zcap(h2) + 2):
                 total = 2 * beta + 3 * gamma
                 pieces = any(
-                    any(_piece_pairs(q, beta, gamma, r).values()) for r in range(total + 1)
+                    any(piece_pairs(q, beta, gamma, r).values()) for r in range(total + 1)
                 )
                 packed = zero_divisor_product_nonzero(q, beta, gamma)
                 assert packed == bool(el) == pieces, (n, beta, gamma)
@@ -257,7 +257,7 @@ def test_pruned_cells_match_pieces():
                     want = False
                 else:
                     pieces = (
-                        any(_piece_pairs(q, beta, gamma, r).values())
+                        any(piece_pairs(q, beta, gamma, r).values())
                         for r in _scan_degrees(q, beta, gamma)
                     )
                     want = next(pieces, False)
@@ -278,7 +278,7 @@ def _unpruned_search(q):
     best = None
     for gamma in range(_zcap(h3) + 1):
         while beta >= 0 and not any(
-            any(_piece_pairs(q, beta, gamma, r).values())
+            any(piece_pairs(q, beta, gamma, r).values())
             for r in _scan_degrees(q, beta, gamma)
         ):
             beta -= 1
@@ -436,18 +436,19 @@ def test_verify_runs_one_sweep(monkeypatch):
 
 
 def test_import_leaves_pool_and_cli_unloaded():
-    # only a real pool imports multiprocessing, only the entry point imports
-    # cli and the result cache (and so json), and only `w23 verify` imports the
-    # suites; the package's records are named tuples and its rational edge is
-    # integer
+    # `import w23` loads no submodule; the entry point loads what its commands
+    # share, but not the bounds (only `w23 bounds` and `table tc` import them)
+    # nor the suites and their oracles (only `w23 verify`).  Only a real pool
+    # imports multiprocessing; the package's records are named tuples and its
+    # rational edge is integer
     src = str(Path(zcl_module.__file__).resolve().parents[1])
-    for module, cli_loaded in (("w23", False), ("w23.cli", True)):
+    cli_modules = ["cache", "cli", "groebner", "gseries", "poly", "quotient", "zcl"]
+    for module, loaded in (("w23", []), ("w23.cli", [f"w23.{m}" for m in cli_modules])):
         probe = (
             f"import sys, {module}; "
-            "print('multiprocessing' in sys.modules, 'w23.cli' in sys.modules, "
-            "'w23.cache' in sys.modules, "
-            "[m for m in ('dataclasses', 'inspect', 'fractions', 'w23.verify') "
-            "if m in sys.modules])"
+            "print('multiprocessing' in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('w23.')), "
+            "[m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
@@ -456,7 +457,45 @@ def test_import_leaves_pool_and_cli_unloaded():
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout == f"False {cli_loaded} {cli_loaded} []\n", module
+        assert out.stdout == f"False {loaded} []\n", module
+
+
+# the public names of the package, as listed before they were loaded lazily
+PACKAGE_NAMES = [
+    "BoundsRow", "GradedPiece", "GroebnerBasis", "Heights", "ONE", "Poly",
+    "QuotientRing", "SMALL_N_ZCL", "TcBand", "TensorElement", "W2", "W3", "ZERO",
+    "ZclResult", "basis_for", "bounds_row", "brute_heights", "buchberger",
+    "build_quotient", "class_nonzero", "closed_form_basis", "exactness_established",
+    "exceptional_degrees", "g_explicit", "g_recurrence", "graded_piece",
+    "height_z_w2", "heights_closed_form", "ideal_member", "lucas_binom_mod2",
+    "nf_monomial", "normal_form", "poly_text", "reduce_basis", "tc_table_rows",
+    "w3_ideal_member", "z", "zcl_closed_form", "zcl_search", "zcl_wn",
+    "zero_divisor_product_nonzero",
+]
+
+
+def test_package_names_resolve_to_their_home_modules():
+    import importlib
+
+    import w23
+
+    assert w23.__all__ == PACKAGE_NAMES
+    assert set(PACKAGE_NAMES) <= set(dir(w23))
+    seen = []
+    for module, names in w23._EXPORTS:
+        home = importlib.import_module(f"w23.{module}")
+        for name in names:
+            value = getattr(w23, name)
+            assert value is getattr(home, name), name
+            # a class or function is listed under the module that defines it
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+            seen.append(name)
+    assert sorted(seen) == PACKAGE_NAMES
+    with pytest.raises(AttributeError):
+        w23.no_such_name
+    from w23 import cache
+
+    assert cache is sys.modules["w23.cache"]
 
 
 def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
