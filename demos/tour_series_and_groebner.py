@@ -26,12 +26,12 @@ def main() -> None:
     print(f"g_r vanishes exactly when r + 3 is a power of two: {zeros}")
     print()
 
-    print("For n >= 7 the ideal (g_{n-2}, g_{n-1}, g_n) has a Groebner basis")
+    print("For every n >= 2 the ideal (g_{n-2}, g_{n-1}, g_n) has a Groebner basis")
     print("F_n = (f_0, ..., f_{t-1}) given in closed form, one polynomial per")
     print("bit of n + 1 below the leading bit.  Its leading monomials form a")
     print("staircase that starts on the w2 axis and ends on the w3 axis.")
     print()
-    for n in (7, 21, 30, 64):
+    for n in (3, 6, 7, 21, 30, 64):
         prof = binary_profile(n)
         gb = basis_for(n)
         stairs = ", ".join(f"w2^{b}*w3^{c}" for b, c in gb.lms)
@@ -42,7 +42,7 @@ def main() -> None:
     print("The closed form is checked against Buchberger's algorithm run on")
     print("the raw generators, then reduced; F_n is already the reduced basis,")
     print("so the comparison is exact:")
-    for n in (7, 21, 30, 64):
+    for n in (3, 6, 7, 21, 30, 64):
         raw = buchberger(
             [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)], n=n
         )

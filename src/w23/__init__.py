@@ -2,7 +2,7 @@
 generated by the Stiefel-Whitney classes w2 and w3.
 
 The package models W_n as Z/2[w2,w3]/I_n, builds Groebner bases of I_n
-(closed form for n >= 7, Buchberger from the defining generators for
+(closed form for every n >= 2, Buchberger from the defining generators for
 cross-checking), reduces to normal form against the additive basis,
 computes heights and the zero-divisor cup-length zcl(W_n), and layers the
 sandwich bounds for zcl(G~(n,3)) and the topological-complexity lower
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = (
     ("bounds", ("BoundsRow", "TcBand", "bounds_row", "exactness_established",
                 "exceptional_degrees", "height_z_w2", "tc_table_rows")),
-    ("groebner", ("GroebnerBasis", "basis_for", "buchberger", "closed_form_basis",
-                  "normal_form", "reduce_basis")),
+    ("groebner", ("GroebnerBasis", "basis_for", "buchberger", "normal_form",
+                  "reduce_basis")),
     ("gseries", ("g_recurrence",)),
     ("poly", ("ONE", "W2", "W3", "ZERO", "Poly", "lucas_binom_mod2", "poly_text")),
     ("quotient", ("Heights", "QuotientRing", "brute_heights", "build_quotient",

@@ -52,10 +52,11 @@ def witness_json(res: ZclResult) -> dict:
 
 def load(cache_dir: Path | None, n: int) -> ZclResult | None:
     """The stored zcl(W_n), or None (recompute) unless every check passes:
-    the file is an object of this schema with kind "zcl" and this n; its
-    fields are nonnegative ints with value = beta + gamma; the pair's degrees
-    are r and 2*beta + 3*gamma - r; both monomials are basis monomials of
-    W_n, which bounds the piece scan by the ring's top degree; and the pair
+    the file is an object of this schema with kind "zcl" and this n, both
+    given as ints (true or 21.0 is refused); its fields are nonnegative ints
+    with value = beta + gamma; the pair's degrees are r and
+    2*beta + 3*gamma - r; both monomials are basis monomials of W_n, which
+    bounds the piece scan by the ring's top degree; and the pair
     survives in the left-degree-r piece of z(w2)^beta*z(w3)^gamma.  The
     piece comes from zcl.piece_pairs, the function the search reads its
     own witness off.
@@ -69,8 +70,10 @@ def load(cache_dir: Path | None, n: int) -> ZclResult | None:
         fields = (payload["value"], w["beta"], w["gamma"], w["r"], b1, c1, b2, c2)
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
-    header = (payload.get("schema_version"), payload.get("kind"), payload.get("n"))
-    if header != (SCHEMA_VERSION, "zcl", n):
+    version, kind, stored_n = payload.get("schema_version"), payload.get("kind"), payload.get("n")
+    if not (type(version) is int and type(stored_n) is int):
+        return None
+    if (version, kind, stored_n) != (SCHEMA_VERSION, "zcl", n):
         return None
     if not all(type(x) is int and x >= 0 for x in fields):
         return None

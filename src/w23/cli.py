@@ -1,7 +1,9 @@
 """Command-line surface: compute, print tables, run the verification suites.
 
-Each `cmd_*` checks its arguments, computes, and returns a View: a builder
-per output format, each run only when its format is asked for, and the exit
+Each integer floor is the argparse type `_at_least(low)`, so a value below
+it is a usage error before any command runs. Each `cmd_*` checks the rules
+that tie arguments together, computes, and returns a View: a builder per
+output format, each run only when its format is asked for, and the exit
 status. `main` hands the view to `_render`, the one place that reads
 `--format`. Each subcommand declares its own flags: csv only where there is
 a table (`basis`, `zcl-range`, `table`), `--jobs` and `--cache-dir` only
@@ -67,18 +69,15 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _ring_arg(text: str) -> int:
-    n = int(text) if text.isdecimal() else 0
-    if n < 6:
-        raise argparse.ArgumentTypeError(f"quotient rings start at n = 6, got {text!r}")
-    return n
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: a plain decimal integer >= low."""
 
+    def integer(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
 
-def _jobs_arg(text: str) -> int:
-    jobs = int(text) if text.isdecimal() else 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected a number of workers >= 1, got {text!r}")
-    return jobs
+    return integer
 
 
 def _cache_dir(args, parser) -> Path | None:
@@ -99,15 +98,11 @@ def _poly_json(p: Poly) -> list[dict]:
 
 
 def cmd_g(args, parser) -> View:
-    if args.r < 0:
-        parser.error("series indices start at 0")
     p = g_recurrence(args.r)
     return View(json=lambda: {"r": args.r, "terms": _poly_json(p)}, text=lambda: [poly_text(p)])
 
 
 def cmd_groebner(args, parser) -> View:
-    if args.n < 2:
-        parser.error("the ideal chain starts at n = 2")
     gb = basis_for(args.n)
     if args.n >= 7:
         prof = binary_profile(args.n)
@@ -139,8 +134,6 @@ def cmd_groebner(args, parser) -> View:
 
 
 def cmd_basis(args, parser) -> View:
-    if args.degree is not None and args.degree < 0:
-        parser.error("degrees start at 0")
     q = build_quotient(args.n)
     header = ["b", "c", "degree"]
     if args.degree is not None:
@@ -174,8 +167,6 @@ def cmd_basis(args, parser) -> View:
 
 
 def cmd_nf(args, parser) -> View:
-    if args.b < 0 or args.c < 0:
-        parser.error("exponents must be nonnegative")
     p = nf_monomial(build_quotient(args.n), args.b, args.c)
     return View(
         json=lambda: {"n": args.n, "b": args.b, "c": args.c, "nf": _poly_json(p)},
@@ -244,8 +235,6 @@ def cmd_zcl_range(args, parser) -> View:
 def cmd_bounds(args, parser) -> View:
     from .bounds import bounds_row
 
-    if args.n < 15:
-        parser.error("bounds rows start at n = 15")
     row = bounds_row(args.n, zcl_closed_form(args.n))
 
     def lines():
@@ -352,8 +341,6 @@ SUITE_CHOICES = ("all", "g-series", "groebner", "quotient", "zcl", "bounds")
 def cmd_verify(args, parser) -> View:
     from .verify import SUITES, failures, run_suites
 
-    if args.t_max < 3:
-        parser.error("--t-max must be at least 3")
     names = list(SUITES) if "all" in args.suites else args.suites
     checks = run_suites(names, t_max=args.t_max, jobs=args.jobs)
     bad = failures(checks)
@@ -389,43 +376,43 @@ def _build_parser() -> argparse.ArgumentParser:
     with_csv = ("text", "json", "csv")
 
     p = command("g", cmd_g, "one series polynomial g_r")
-    p.add_argument("r", type=int, help="series index")
+    p.add_argument("r", type=_at_least(0), help="series index")
 
     p = command("groebner", cmd_groebner, "Groebner basis of I_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(2))
 
     p = command("basis", cmd_basis, "additive basis of W_n", with_csv)
-    p.add_argument("n", type=_ring_arg)
-    p.add_argument("--degree", type=int, help="restrict to one degree")
+    p.add_argument("n", type=_at_least(6))
+    p.add_argument("--degree", type=_at_least(0), help="restrict to one degree")
 
     p = command("nf", cmd_nf, "normal form of w2^b*w3^c in W_n")
-    p.add_argument("n", type=_ring_arg)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
+    p.add_argument("n", type=_at_least(6))
+    p.add_argument("b", type=_at_least(0))
+    p.add_argument("c", type=_at_least(0))
 
     p = command("height", cmd_height, "heights of w2 and w3 in W_n")
-    p.add_argument("n", type=_ring_arg)
+    p.add_argument("n", type=_at_least(6))
     p.add_argument("--brute", action="store_true", help="force power iteration")
 
     p = command("zcl", cmd_zcl, "zero-divisor cup-length of W_n")
-    p.add_argument("n", type=_ring_arg)
+    p.add_argument("n", type=_at_least(6))
     p.add_argument("--witness", action="store_true", help="print the maximizing cell")
     p.add_argument(
         "--closed-form-check",
         action="store_true",
         help="compare against the closed form (exit 1 on mismatch)",
     )
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     p.add_argument("--cache-dir", help=cache_help)
 
     p = command("zcl-range", cmd_zcl_range, "zcl(W_n) for a range of n", with_csv)
-    p.add_argument("lo", type=_ring_arg)
+    p.add_argument("lo", type=_at_least(6))
     p.add_argument("hi", type=int)
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     p.add_argument("--cache-dir", help=cache_help)
 
     p = command("bounds", cmd_bounds, "sandwich bounds and TC lower bound")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(15))
 
     p = command("table", cmd_table, "reproduce a published table", with_csv)
     p.add_argument("which", choices=("g", "small-n", "heights", "tc"))
@@ -434,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("suites", nargs="+", choices=SUITE_CHOICES)
-    p.add_argument("--t-max", type=int, default=5, help="largest level to cover")
-    p.add_argument("--jobs", type=_jobs_arg, default=1, help="worker processes")
+    p.add_argument("--t-max", type=_at_least(3), default=5, help="largest level to cover")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     return parser
 
 

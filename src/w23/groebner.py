@@ -1,18 +1,18 @@
 """Groebner bases for the ideals I_n = (g_{n-2}, g_{n-1}, g_n).
 
-Two independent constructions are kept side by side.  closed_form_basis
-builds, for n >= 7, the known basis
+basis_for builds, for every n >= 2, the known basis
 
     F_n = {f_0, ..., f_{t-1}},   f_i = w3^(alpha_i*s_{i-1}) * g_{n-2+2^i-s_i},
 
 where 2^t-1 <= n < 2^{t+1}-1 and alpha/s come from the binary digits of
 n - 2^t + 1.  F_n is already reduced.  buchberger computes a basis from
-arbitrary generators; it is the fallback for n < 7 and, with reduce_basis,
-the cross-check oracle for the closed form (the reduced basis is unique, so
-F_n must equal the reduced Buchberger basis).  buchberger, reduce_basis
-and normal_form stay in this module because basis_for runs them for
-n < 7.  Ideal membership by reduction to zero, which only the checks read,
-is verify.ideal_member.
+arbitrary generators and, with reduce_basis, is the cross-check oracle for
+the closed form (the reduced basis is unique, so F_n must equal the reduced
+Buchberger basis); normal_form, heap division, is the oracle for the
+quotient ring's rewriting.  No command runs them; they stay in this module
+because the benchmark tracer wraps groebner.buchberger and
+groebner.normal_form here.  Ideal membership by reduction to zero, which
+only the checks read, is verify.ideal_member.
 
 Everything uses the one fixed monomial order of this package: lex with
 w2 > w3.
@@ -68,8 +68,8 @@ class BinaryProfile(_ProfileFields):
 
 
 def binary_profile(n: int) -> BinaryProfile:
-    if n < 7:
-        raise ValueError("binary profile backs the closed form, stated for n >= 7")
+    if n < 2:
+        raise ValueError("the ideal chain starts at n = 2")
     t = (n + 1).bit_length() - 1
     m = n - (1 << t) + 1
     alpha = tuple((m >> j) & 1 for j in range(t))
@@ -102,10 +102,14 @@ class GroebnerBasis:
         return f"GroebnerBasis({tag}, {len(self.polys)} polynomials)"
 
 
-def closed_form_basis(n: int) -> GroebnerBasis:
-    """F_n for n >= 7, with every leading monomial checked against
+def basis_for(n: int) -> GroebnerBasis:
+    """F_n, the reduced basis of I_n, for n >= 2, with every leading monomial
+    checked against
 
     LM(f_i) = w2^(2^i*l_i) * w3^(alpha_i*s_{i-1}+2^i-1).
+
+    Built afresh on every call; a caller that reads one basis many times
+    holds it, as a QuotientRing does in `gb`.
     """
     prof = binary_profile(n)
     polys = []
@@ -221,18 +225,3 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
             minimal[i] = normal_form(minimal[i], GroebnerBasis(others))
     minimal.sort(key=Poly.leading_monomial, reverse=True)
     return GroebnerBasis(minimal, n=gb.n)
-
-
-def basis_for(n: int) -> GroebnerBasis:
-    """The reduced basis of I_n: the closed form for n >= 7, Buchberger below.
-
-    Built afresh on every call; a caller that reads one basis many times
-    holds it, as a QuotientRing does in `gb`.
-    """
-    if n >= 7:
-        return closed_form_basis(n)
-    if n < 2:
-        raise ValueError("ideal index must be at least 2")
-    gens = [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]
-    return reduce_basis(buchberger(gens, n=n))
-

@@ -16,11 +16,11 @@ over the rows (O(1) membership, O(rows) len, lex-order iteration), and
 by_degree() and degree_counts() derive from c_bound when asked.
 
 Monomial reduction rewrites a monomial that LM(f_i) divides into the tail
-of f_i times the quotient, trying the f_i from the last back (for n >= 7 the
-largest i first).  The bases are homogeneous and each LM is lex-largest, so
-every child keeps the degree and drops b by a positive multiple of 3: the
-basis compiles into one table of (l0, l1, drops of b // 3) feeding one
-filler.  For n >= 7 the drops are the closed-form rewrite
+of f_i times the quotient, trying the f_i from the last back (the largest i
+first).  The bases are homogeneous and each LM is lex-largest, so every
+child keeps the degree and drops b by a positive multiple of 3: the basis
+compiles into one table of (l0, l1, drops of b // 3) feeding one filler.
+For the closed-form basis F_n the drops are the closed-form rewrite
 (f_i = w3^(e3+2^i-1)*g_(2l_i)^(2^i), verify.verify_kvadriranje):
 
     w2^b*w3^c  =  sum over 2d+3e = 2*l_i, e > 0, C(d+e,e) odd

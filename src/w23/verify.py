@@ -10,8 +10,9 @@ exactness edge.
 It also holds the oracles that only checks read, so that only `w23 verify`
 loads them: the explicit sum for g_r (`g_explicit`), ideal membership by
 reduction (`ideal_member`), and the tensor square on frozensets of pairs
-(`TensorElement`, `z`, `graded_piece`).  Buchberger and heap division stay
-in groebner, since basis_for runs them for n < 7.
+(`TensorElement`, `z`, `graded_piece`).  Buchberger and heap division,
+which no command runs either, stay in groebner: perfbench/tracer.py wraps
+them there.
 
 Each suite returns a list of Check records and is deterministic (random
 sampling is seeded, parallel runs merge in n order).  `t_max` scales the
@@ -496,10 +497,10 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     n_max = _n_max(t_max)
     top = min(n_max, 64)
     # the three checks read one basis per n, built here and dropped on return
-    bases = {n: basis_for(n) for n in range(7, max(n_max, top + 1) + 1)}
+    bases = {n: basis_for(n) for n in range(2, max(n_max, top + 1) + 1)}
     checks = [
         _scan(
-            f"closed-form basis = reduced Buchberger basis of the generators, 7 <= n <= {n_max}",
+            f"closed-form basis = reduced Buchberger basis of the generators, 2 <= n <= {n_max}",
             (
                 (
                     f"n={n}",
@@ -511,13 +512,13 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
                         )
                     ).polys,
                 )
-                for n in range(7, n_max + 1)
+                for n in range(2, n_max + 1)
             ),
         )
     ]
 
     def lm_formula():
-        for n in range(7, n_max + 1):
+        for n in range(2, n_max + 1):
             prof = binary_profile(n)
             for i, lm in enumerate(bases[n].lms):
                 expected = (
@@ -527,11 +528,11 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
                 yield (f"n={n} i={i}", expected, lm)
 
     checks.append(
-        _scan(f"leading monomials follow the two-exponent formula, 7 <= n <= {n_max}", lm_formula())
+        _scan(f"leading monomials follow the two-exponent formula, 2 <= n <= {n_max}", lm_formula())
     )
     checks.append(
         _scan(
-            f"w3*I_n lies in I_(n+1) and I_(n+1) lies in I_n, 7 <= n <= {top}",
+            f"w3*I_n lies in I_(n+1) and I_(n+1) lies in I_n, 2 <= n <= {top}",
             (
                 (
                     f"n={n}",
@@ -539,7 +540,7 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
                     not any(normal_form(W3 * f, bases[n + 1]) for f in bases[n].polys)
                     and not any(normal_form(f, bases[n]) for f in bases[n + 1].polys),
                 )
-                for n in range(7, top + 1)
+                for n in range(2, top + 1)
             ),
         )
     )

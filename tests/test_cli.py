@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from w23 import cache
 from w23 import cli as cli_module
+from w23 import groebner as groebner_module
 from w23.bounds import tc_table_rows
 from w23.cli import main
-from w23.groebner import closed_form_basis
+from w23.groebner import basis_for, buchberger, reduce_basis
+from w23.gseries import g_recurrence
 from w23.poly import W2, W3, Poly
 from w23.quotient import build_quotient
 from w23.verify import z
@@ -74,7 +76,7 @@ def test_groebner_json_round_trip(capsys):
     assert payload["n"] == 21 and payload["t"] == 4
     assert payload["alpha"] == [0, 1, 1, 0]
     assert payload["s"] == [0, 2, 6, 6]
-    gb = closed_form_basis(21)
+    gb = basis_for(21)
     assert len(payload["polys"]) == len(gb.polys)
     for entry, f, lm in zip(payload["polys"], gb.polys, gb.lms):
         assert Poly((term["b"], term["c"]) for term in entry["terms"]) == f
@@ -92,6 +94,49 @@ def test_groebner_small_n(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["t"] is None and payload["alpha"] is None
+
+
+# the text the commands print on the smallest rings, the same as when
+# basis_for ran Buchberger below n = 7
+SMALL_RING_TEXT = {
+    ("groebner", "2"): "n = 2\nf_0 = 1   lm = 1\n",
+    ("groebner", "3"): "n = 3\nf_0 = w2   lm = w2\nf_1 = w3   lm = w3\n",
+    ("groebner", "4"): "n = 4\nf_0 = w2   lm = w2\nf_1 = w3   lm = w3\n",
+    ("groebner", "5"): "n = 5\nf_0 = w2^2   lm = w2^2\nf_1 = w3   lm = w3\n",
+    ("groebner", "6"): "n = 6\nf_0 = w2^2   lm = w2^2\nf_1 = w3^2   lm = w3^2\n",
+    ("groebner", "7"): "n = 7  t = 3  alpha = [0, 0, 0]  s = [0, 0, 0]\n"
+    "f_0 = w2^3 + w3^2   lm = w2^3\nf_1 = w2^2*w3   lm = w2^2*w3\nf_2 = w3^3   lm = w3^3\n",
+    ("basis", "6"): "W_6: 4 basis monomials, top degree 5\n"
+    "deg 0: 1\ndeg 2: w2\ndeg 3: w3\ndeg 5: w2*w3\n",
+    ("nf", "6", "3", "1"): "0\n",
+    ("height", "6"): "height(w2) = 1\nheight(w3) = 1\n",
+    ("zcl", "6", "--witness"): "zcl(W_6) = 2\nwitness: beta=1 gamma=1 r=3 pair=w3 (x) w2\n",
+    ("zcl-range", "6", "8"): "zcl(W_6) = 2  (beta=1, gamma=1)\n"
+    "zcl(W_7) = 7  (beta=7, gamma=0)\nzcl(W_8) = 7  (beta=7, gamma=0)\n",
+}
+
+
+def test_no_command_runs_buchberger_or_heap_division(capsys, monkeypatch):
+    # the Buchberger bases are taken before the oracles are made to raise
+    reference = {
+        n: reduce_basis(buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]))
+        for n in range(2, 8)
+    }
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("a command ran a Groebner oracle")
+
+    for name in ("buchberger", "reduce_basis", "normal_form"):
+        monkeypatch.setattr(groebner_module, name, oracle)
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    for argv, text in SMALL_RING_TEXT.items():
+        assert run(capsys, *argv) == (0, text), argv
+    for n, gb in reference.items():
+        code, out = run(capsys, "groebner", str(n), "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and (payload["t"] is None) == (n < 7), n
+        polys = [Poly((term["b"], term["c"]) for term in entry["terms"]) for entry in payload["polys"]]
+        assert polys == list(gb.polys), n
 
 
 def test_basis_counts_golden(capsys):
@@ -251,6 +296,17 @@ def test_cached_zcl_is_checked_before_use(capsys, tmp_path):
     _, out = run(capsys, "zcl", "6", "--cache-dir", str(tmp_path))
     assert out == "zcl(W_6) = 2\n"
     assert cache.load(tmp_path, 6).value == 2
+
+
+def test_header_fields_must_be_ints(capsys, tmp_path):
+    # true == 1 and 21.0 == 21 in Python, but neither is the int the header holds
+    run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
+    entry = tmp_path / "zcl-21.json"
+    stored = json.loads(entry.read_text())
+    assert cache.load(tmp_path, 21).value == 21
+    for field, value in (("schema_version", True), ("schema_version", 1.0), ("n", 21.0)):
+        entry.write_text(json.dumps(dict(stored, **{field: value})))
+        assert cache.load(tmp_path, 21) is None, (field, value)
 
 
 def test_copied_entry_is_recomputed(capsys, tmp_path):
@@ -508,11 +564,15 @@ def test_usage_errors_exit_2(capsys):
         ["nf", "5", "0", "0"],
         ["height", "5"],
         ["zcl-range", "5", "8"],
+        ["g", "-1"],
+        ["groebner", "1"],
+        ["nf", "21", "-1", "0"],
+        ["verify", "all", "--t-max", "2"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
-        capsys.readouterr()
+        assert capsys.readouterr().out == "", argv
 
 
 # one small invocation per subcommand, run in every format it offers

@@ -14,7 +14,6 @@ from w23.groebner import (
     basis_for,
     binary_profile,
     buchberger,
-    closed_form_basis,
     normal_form,
     reduce_basis,
 )
@@ -52,7 +51,7 @@ def test_profile_rejects_inconsistent_digits():
 def test_closed_form_rejects_wrong_generator(monkeypatch):
     monkeypatch.setattr(groebner_module, "g_recurrence", lambda r: g_recurrence(r) + ONE)
     with pytest.raises(RuntimeError):
-        closed_form_basis(21)
+        basis_for(21)
 
 
 def test_profile_n15():
@@ -69,12 +68,14 @@ def test_profile_all_ones():
 
 def test_profile_rejects_small_n():
     with pytest.raises(ValueError):
-        binary_profile(6)
+        binary_profile(1)
+    with pytest.raises(ValueError):
+        basis_for(1)
 
 
 def test_profile_invariants_sweep():
     # the dataclass asserts its own arithmetic; just exercise a wide range
-    for n in range(7, 260):
+    for n in range(2, 260):
         prof = binary_profile(n)
         assert len(prof.alpha) == len(prof.s) == len(prof.l) == prof.t
 
@@ -83,7 +84,7 @@ def test_profile_invariants_sweep():
 
 
 def test_closed_form_n21():
-    gb = closed_form_basis(21)
+    gb = basis_for(21)
     assert gb.polys[2] == mono(4, 5)
     assert gb.polys[3] == mono(0, 7)
     assert gb.polys[0] == g_recurrence(20)
@@ -91,25 +92,25 @@ def test_closed_form_n21():
 
 
 def test_closed_form_n15():
-    gb = closed_form_basis(15)
+    gb = basis_for(15)
     assert gb.polys[0] == g_recurrence(14)
     assert gb.polys[0] == Poly({(7, 0), (4, 2), (1, 4)})
 
 
 def test_closed_form_n22():
-    assert closed_form_basis(22).polys[1] == mono(8, 2) + mono(2, 6)
+    assert basis_for(22).polys[1] == mono(8, 2) + mono(2, 6)
 
 
 def test_closed_form_staircase_closes():
-    for n in range(7, 70):
-        gb = closed_form_basis(n)
+    for n in range(2, 70):
+        gb = basis_for(n)
         assert gb.lms[0][1] == 0 and gb.lms[-1][0] == 0
 
 
 def test_case_power_of_two_minus_one():
     # n = 2^t-1: every f_i = g_{2^t+2^i-3} with LM w2^(2^(t-1)-2^i)*w3^(2^i-1)
     for t in (3, 4, 5, 6):
-        gb = closed_form_basis((1 << t) - 1)
+        gb = basis_for((1 << t) - 1)
         for i in range(t):
             assert gb.polys[i] == g_recurrence((1 << t) + (1 << i) - 3)
             assert gb.lms[i] == ((1 << (t - 1)) - (1 << i), (1 << i) - 1)
@@ -120,7 +121,7 @@ def test_case_quarter_plus_eps():
     for t in (4, 5, 6):
         h = 1 << (t - 1)
         for eps in (0, 1):
-            gb = closed_form_basis((h << 1) + (h >> 1) + eps)
+            gb = basis_for((h << 1) + (h >> 1) + eps)
             assert gb.polys[0] == g_recurrence((h << 1) + (h >> 1) + 2 * eps - 2)
             assert gb.lms[0] == (h + (h >> 2) + eps - 1, 0)
             for i in range(1, t - 2):
@@ -137,7 +138,7 @@ def test_case_quarter_plus_two():
     # n = 2^t+2^(t-2)+2
     for t in (4, 5, 6):
         h = 1 << (t - 1)
-        gb = closed_form_basis((h << 1) + (h >> 1) + 2)
+        gb = basis_for((h << 1) + (h >> 1) + 2)
         assert gb.polys[0] == g_recurrence((h << 1) + (h >> 1))
         assert gb.lms[0] == (h + (h >> 2), 0)
         assert gb.polys[1] == w3_shift(g_recurrence(h + (h >> 2) - 2) ** 2, 2)
@@ -159,7 +160,7 @@ def test_case_half_plus_one():
     # n = 2^t+2^(t-1)+1
     for t in (4, 5, 6):
         h = 1 << (t - 1)
-        gb = closed_form_basis(3 * h + 1)
+        gb = basis_for(3 * h + 1)
         assert gb.polys[0] == g_recurrence(3 * h)
         assert gb.lms[0] == (h + (h >> 1), 0)
         for i in range(1, t - 1):
@@ -176,7 +177,7 @@ def test_case_near_top():
     for t in (4, 5, 6):
         for s in range(1, t - 2):
             p, q = 1 << t, 1 << s
-            gb = closed_form_basis(2 * p - 2 * q + 1)
+            gb = basis_for(2 * p - 2 * q + 1)
             assert gb.polys[0] == g_recurrence(2 * p - 2 * q)
             assert gb.lms[0] == (p - q, 0)
             for i in range(1, s + 1):
@@ -212,7 +213,7 @@ def test_case_top_relations():
 
 
 def test_normal_form_examples():
-    f15 = closed_form_basis(15)
+    f15 = basis_for(15)
     assert normal_form(mono(0, 7), f15) == ZERO
     assert normal_form(mono(2, 3), f15) == mono(2, 3)
     assert normal_form(ZERO, f15) == ZERO
@@ -300,7 +301,7 @@ def test_membership_lemmas():
         verify_membership_lemmas(2)
 
 
-# ----------------------------------------------------- buchberger fallback
+# ------------------------------------------------------- buchberger oracle
 
 
 def test_buchberger_units_and_principal():
@@ -343,8 +344,8 @@ def test_basis_for_builds_afresh():
 def test_differential_small_range():
     # closed form vs Buchberger on the raw generators; the reduced basis of
     # an ideal is unique, so after reduce_basis they must agree exactly
-    for n in range(7, 33):
-        direct = reduce_basis(closed_form_basis(n))
+    for n in range(2, 33):
+        direct = reduce_basis(basis_for(n))
         generic = reduce_basis(
             buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)], n=n)
         )

@@ -96,7 +96,7 @@ def test_fast_path_matches_division():
 def test_nf_bits_decode_to_division():
     # the packed memo, decoded by hand through the bit rule (bit i of a
     # degree-d form is the monomial with w2 exponent 3i + (2d) % 3), against
-    # heap division; n = 6 runs the generic rewrite, the others the closed form
+    # heap division
     rng = random.Random(2024)
     for n in (6, 9, 21, 22, 40, 63):
         q = build_quotient(n)
@@ -115,8 +115,7 @@ def test_nf_bits_decode_to_division():
 
 
 def test_generic_rows_match_division_on_w6():
-    # n = 6 has no closed-form basis: the rows reduce by the Buchberger tails;
-    # every monomial up to one past the top degree, against heap division
+    # every monomial of W_6 up to one past the top degree, against heap division
     q = build_quotient(6)
     gb = basis_for(6)
     for r in range(q.max_degree + 2):
@@ -136,9 +135,9 @@ def test_tail_rules_match_division():
 
 
 def test_tail_rules_are_the_closed_form_rewrite():
-    # for n >= 7 the tail of f_i drops b // 3 by e/2 << i for every even e > 0
-    # with C(l_i - e/2, e) odd; largest i first
-    for n in range(7, 301):
+    # the tail of f_i drops b // 3 by e/2 << i for every even e > 0 with
+    # C(l_i - e/2, e) odd; largest i first
+    for n in range(6, 301):
         gb = basis_for(n)
         prof = binary_profile(n)
         expected = tuple(

@@ -460,17 +460,16 @@ def test_import_leaves_pool_and_cli_unloaded():
         assert out.stdout == f"False {loaded} []\n", module
 
 
-# the public names of the package, as listed before they were loaded lazily
+# the public names of the package
 PACKAGE_NAMES = [
     "BoundsRow", "GradedPiece", "GroebnerBasis", "Heights", "ONE", "Poly",
     "QuotientRing", "SMALL_N_ZCL", "TcBand", "TensorElement", "W2", "W3", "ZERO",
     "ZclResult", "basis_for", "bounds_row", "brute_heights", "buchberger",
-    "build_quotient", "class_nonzero", "closed_form_basis", "exactness_established",
-    "exceptional_degrees", "g_explicit", "g_recurrence", "graded_piece",
-    "height_z_w2", "heights_closed_form", "ideal_member", "lucas_binom_mod2",
-    "nf_monomial", "normal_form", "poly_text", "reduce_basis", "tc_table_rows",
-    "w3_ideal_member", "z", "zcl_closed_form", "zcl_search", "zcl_wn",
-    "zero_divisor_product_nonzero",
+    "build_quotient", "class_nonzero", "exactness_established", "exceptional_degrees",
+    "g_explicit", "g_recurrence", "graded_piece", "height_z_w2", "heights_closed_form",
+    "ideal_member", "lucas_binom_mod2", "nf_monomial", "normal_form", "poly_text",
+    "reduce_basis", "tc_table_rows", "w3_ideal_member", "z", "zcl_closed_form",
+    "zcl_search", "zcl_wn", "zero_divisor_product_nonzero",
 ]
 
 
