@@ -392,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("height", cmd_height, "heights of w2 and w3 in W_n")
     p.add_argument("n", type=_at_least(6))
-    p.add_argument("--brute", action="store_true", help="force power iteration")
+    p.add_argument("--brute", action="store_true", help="force bisection on power probes")
 
     p = command("zcl", cmd_zcl, "zero-divisor cup-length of W_n")
     p.add_argument("n", type=_at_least(6))

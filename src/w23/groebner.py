@@ -91,6 +91,15 @@ class GroebnerBasis:
         object.__setattr__(self, "lms", tuple(p.leading_monomial() for p in ps))
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _raw(cls, polys: tuple, lms: tuple, n: int | None = None) -> "GroebnerBasis":
+        """Wrap nonzero polys and their known leading monomials without recomputing."""
+        gb = object.__new__(cls)
+        object.__setattr__(gb, "polys", polys)
+        object.__setattr__(gb, "lms", lms)
+        object.__setattr__(gb, "n", n)
+        return gb
+
     def __setattr__(self, name, value):
         raise AttributeError("GroebnerBasis is immutable")
 
@@ -173,55 +182,78 @@ def _shift(p: Poly, db: int, dc: int) -> Poly:
     return Poly._raw(frozenset((b + db, c + dc) for b, c in p.terms))
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
-    mf, mg = f.leading_monomial(), g.leading_monomial()
+def _spoly(f: Poly, mf: Monomial, g: Poly, mg: Monomial) -> Poly:
     l = _lcm(mf, mg)
     return _shift(f, l[0] - mf[0], l[1] - mf[1]) + _shift(g, l[0] - mg[0], l[1] - mg[1])
 
 
 def buchberger(generators: Sequence[Poly], n: int | None = None) -> GroebnerBasis:
-    """Textbook Buchberger with the product criterion, normal pair order
-    (S-pairs by degree of the lcm, ties by lex)."""
+    """Buchberger's algorithm with the product and chain criteria (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sec. 10),
+    in normal pair order: S-pairs by degree of the lcm, ties by lex.
+
+    A pair (i, j) is skipped when its leading monomials are coprime, or when
+    some k outside {i, j} has LM_k | lcm(LM_i, LM_j) and neither (i, k) nor
+    (j, k) is still pending.  The basis handed to normal_form is rebuilt only
+    when a remainder joins it.
+    """
     basis = [p for p in generators if p]
     if not basis:
         raise ValueError("all generators are zero")
+    lms = [p.leading_monomial() for p in basis]
     pairs: list = []
+    pending: set = set()
 
     def push_pairs(j: int):
-        mj = basis[j].leading_monomial()
+        mj = lms[j]
         for i in range(j):
-            mi = basis[i].leading_monomial()
+            mi = lms[i]
             if mi[0] + mj[0] == max(mi[0], mj[0]) and mi[1] + mj[1] == max(mi[1], mj[1]):
                 continue  # coprime LMs: S-poly reduces to zero
             l = _lcm(mi, mj)
             heapq.heappush(pairs, (2 * l[0] + 3 * l[1], l, i, j))
+            pending.add((i, j))
+
+    def chain(i: int, j: int, l: Monomial) -> bool:
+        return any(
+            k != i and k != j and mk[0] <= l[0] and mk[1] <= l[1]
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, mk in enumerate(lms)
+        )
 
     for j in range(len(basis)):
         push_pairs(j)
+    gb = GroebnerBasis._raw(tuple(basis), tuple(lms))
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        r = normal_form(_spoly(basis[i], basis[j]), GroebnerBasis(basis))
+        _, l, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if chain(i, j, l):
+            continue
+        r = normal_form(_spoly(basis[i], lms[i], basis[j], lms[j]), gb)
         if r:
             basis.append(r)
+            lms.append(r.leading_monomial())
             push_pairs(len(basis) - 1)
-    return GroebnerBasis(basis, n=n)
+            gb = GroebnerBasis._raw(tuple(basis), tuple(lms))
+    return GroebnerBasis._raw(gb.polys, gb.lms, n)
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
     """The unique reduced basis of the same ideal: minimal, tails in normal
     form, sorted by decreasing leading monomial."""
-    by_lm = sorted(set(gb.polys), key=Poly.leading_monomial)
-    minimal: list[Poly] = []
-    kept_lms: list[Monomial] = []
-    for p in by_lm:
-        lm = p.leading_monomial()
-        if not any(k[0] <= lm[0] and k[1] <= lm[1] for k in kept_lms):
-            minimal.append(p)
-            kept_lms.append(lm)
-    # autoreduce tails; LMs are pairwise non-divisible so one pass settles
-    for i in range(len(minimal)):
-        others = minimal[:i] + minimal[i + 1 :]
-        if others:
-            minimal[i] = normal_form(minimal[i], GroebnerBasis(others))
-    minimal.sort(key=Poly.leading_monomial, reverse=True)
-    return GroebnerBasis(minimal, n=gb.n)
+    # sorted by key: Poly has no order, so two polys with equal LMs are never
+    # compared; a repeated or divisible LM is dropped, so the kept LMs ascend
+    lms: list[Monomial] = []
+    polys: list[Poly] = []
+    for lm, p in sorted(zip(gb.lms, gb.polys), key=lambda lm_p: lm_p[0]):
+        if not any(k[0] <= lm[0] and k[1] <= lm[1] for k in lms):
+            lms.append(lm)
+            polys.append(p)
+    # autoreduce tails; LMs are pairwise non-divisible so one pass settles,
+    # and each keeps its LM
+    if len(polys) > 1:
+        for i in range(len(polys)):
+            others = GroebnerBasis._raw((*polys[:i], *polys[i + 1 :]), (*lms[:i], *lms[i + 1 :]))
+            polys[i] = normal_form(polys[i], others)
+    return GroebnerBasis._raw(tuple(reversed(polys)), tuple(reversed(lms)), gb.n)

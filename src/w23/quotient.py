@@ -42,16 +42,18 @@ only the monomials nf_bits reduced and the basis children it touched are
 filled, never a whole row.  Fills are idempotent (any two computations of a
 slot agree), so readers sharing a ring stay consistent.
 
-nonzero_staircase() is the other shape of the ring, cached on first use:
-top[c], for c = 0..height(w3), is the largest b with w2^b*w3^c != 0.  A
-divisor of a nonzero monomial is nonzero, so these monomials form a
-staircase (w2^b*w3^c != 0 iff c <= h3 and b <= top[c], top non-increasing)
-and one walk down from top[0] = height(w2) reads it in O(h2 + h3) nf_bits
-probes.  The zcl cell test prunes its scan with it.
+top(c) reads the other shape of the ring one column at a time: the largest
+b with w2^b*w3^c != 0, or -1 past height(w3).  A divisor of a nonzero
+monomial is nonzero, so these monomials form a staircase (w2^b*w3^c != 0 iff
+b <= top(c), top non-increasing).  Each column asked is found by bisection
+on nf_bits probes between the tops of its nearest columns already read, and
+kept on the ring.  The zcl cell test prunes its scan with it, reading only
+the columns its terms use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Set
 from typing import NamedTuple
 
@@ -124,7 +126,8 @@ class QuotientRing:
         self.basis = StaircaseBasis(c_bound)
         self._rows: dict[int, list[int | None]] = {}
         self._heights: Heights | None = None
-        self._top: tuple[int, ...] | None = None
+        self._top: dict[int, int] = {}  # every column top() was asked, with its top
+        self._top_cols: list[int] = []  # the columns it probed (c <= h3), ascending
         self._rules = _tail_rules(gb)
 
     def nf_bits(self, b: int, c: int) -> int:
@@ -197,23 +200,37 @@ class QuotientRing:
             self._heights = brute_heights(self)
         return self._heights
 
-    def nonzero_staircase(self) -> tuple[int, ...]:
-        """top[c], c = 0..height(w3): the largest b with w2^b*w3^c != 0.
+    def top(self, c: int) -> int:
+        """The largest b with w2^b*w3^c != 0, or -1 when w3^c = 0.
 
         The nonzero monomials are closed under division, so w2^b*w3^c != 0
-        exactly when c <= height(w3) and b <= top[c], and top never increases:
-        one walk down from top[0] = height(w2) finds it in O(h2 + h3) probes.
+        exactly when b <= top(c), and top never increases in c.  So the
+        columns already read bound this one: it lies between the tops of its
+        nearest known neighbours (height(w2) and 0 where there is none), and
+        a bisection on nf_bits probes finds it.  Memoized per ring.
         """
-        if self._top is None:
-            h2, h3 = self.heights()
-            top = [h2]
-            b = h2
-            for c in range(1, h3 + 1):
-                while not self.nf_bits(b, c):  # w3^c != 0 stops it at b = 0
-                    b -= 1
-                top.append(b)
-            self._top = tuple(top)
-        return self._top
+        got = self._top.get(c)
+        if got is not None:
+            return got
+        if c < 0:
+            raise ValueError(f"negative exponent in w3^{c}")
+        h2, h3 = self.heights()
+        if c > h3:
+            got = -1
+        else:
+            cols, known = self._top_cols, self._top
+            i = bisect_left(cols, c)
+            got = known[cols[i]] if i < len(cols) else 0  # w2^got*w3^c != 0
+            hi = known[cols[i - 1]] if i else h2
+            while got < hi:
+                mid = (got + hi + 1) // 2
+                if self.nf_bits(mid, c):
+                    got = mid
+                else:
+                    hi = mid - 1
+            cols.insert(i, c)
+        self._top[c] = got
+        return got
 
     def by_degree(self) -> dict[int, list[Monomial]]:
         """The basis monomials grouped by degree, each row in lex order."""

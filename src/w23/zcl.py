@@ -30,9 +30,9 @@ arithmetic the pieces are checked against, TensorElement, z and
 graded_piece, is read only by the checks, so it lives in verify.
 
 A cell whose balanced piece is zero prunes the rest of its scan with the
-ring's nonzero staircase (QuotientRing.nonzero_staircase): the nonzero
+ring's nonzero staircase (QuotientRing.top, read per column): the nonzero
 monomials are closed under division, so a term survives only for the b
-between max(0, beta - top[gamma-c]) and min(beta, top[c]), and the scan
+between max(0, beta - top(gamma-c)) and min(beta, top(c)), and the scan
 stops at the largest left degree a surviving term reaches.  The terms it
 skips are the ones the full scan drops after a zero normal form, so every
 answer is unchanged.  The prune waits for a zero balanced piece: most cells
@@ -149,9 +149,10 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
     """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n.
 
     The balanced piece is scanned over every submask c of gamma.  Only if it
-    is zero is the rest of the scan narrowed by the ring's nonzero staircase
-    top: w2^b*w3^c != 0 iff c <= h3 and b <= top[c], so a term has both
-    factors nonzero iff max(0, beta - top[gamma-c]) <= b <= min(beta, top[c]).
+    is zero is the rest of the scan narrowed by the ring's nonzero staircase:
+    w2^b*w3^c != 0 iff b <= q.top(c), so a term has both factors nonzero iff
+    max(0, beta - top(gamma-c)) <= b <= min(beta, top(c)).  Only the columns
+    these spans use are read, and top(gamma-c) only where top(c) leaves a span.
     This is exact: the terms dropped are those the full scan discards after
     a zero nf_bits, and no piece above the largest left degree a kept term
     reaches has a term at all.  Deferring the narrowing keeps its set-up off
@@ -172,12 +173,12 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
         c = (c - 1) & gamma
     if _piece_nonzero(nf_bits, beta, gamma, degrees[0], [(c, 0, beta) for c in cs]):
         return True
-    top = q.nonzero_staircase()
-    h3 = len(top) - 1
+    top = q.top
     spans = []
     for c in cs:
-        if c <= h3 and gamma - c <= h3:
-            lo, hi = max(0, beta - top[gamma - c]), min(beta, top[c])
+        hi = min(beta, top(c))
+        if hi >= 0:
+            lo = max(0, beta - top(gamma - c))
             if lo <= hi:
                 spans.append((c, lo, hi))
     if not spans:

@@ -17,7 +17,7 @@ from w23.groebner import (
     normal_form,
     reduce_basis,
 )
-from w23.poly import ONE, W2, W3, ZERO, Poly
+from w23.poly import ONE, W2, W3, ZERO, Poly, deg
 from w23.verify import failures, ideal_member, verify_membership_lemmas, w3_ideal_member
 
 
@@ -319,6 +319,42 @@ def test_reduce_basis_drops_redundant():
 def test_reduce_basis_fixpoint():
     gb = reduce_basis(buchberger([W2 ** 2, W3 ** 2]))
     assert reduce_basis(gb).polys == gb.polys
+
+
+_SMALL = [(b, c) for b in range(5) for c in range(5)]
+_any_poly = st.frozensets(st.sampled_from(_SMALL), min_size=1, max_size=5).map(Poly)
+_homogeneous_poly = (
+    st.sampled_from(sorted({deg(m) for m in _SMALL}))
+    .flatmap(
+        lambda d: st.frozensets(
+            st.sampled_from([m for m in _SMALL if deg(m) == d]), min_size=1, max_size=5
+        )
+    )
+    .map(Poly)
+)
+
+
+def _s_poly(f, g):
+    mf, mg = f.leading_monomial(), g.leading_monomial()
+    l0, l1 = max(mf[0], mg[0]), max(mf[1], mg[1])
+    return Poly((b + l0 - mf[0], c + l1 - mf[1]) for b, c in f.terms) + Poly(
+        (b + l0 - mg[0], c + l1 - mg[1]) for b, c in g.terms
+    )
+
+
+@given(st.lists(st.one_of(_any_poly, _homogeneous_poly), min_size=1, max_size=3))
+@settings(max_examples=100)
+def test_buchberger_on_drawn_generators(generators):
+    # Buchberger's criterion, checked on the output itself: every S-pair and
+    # every generator reduces to zero, whatever pairs the criteria skipped
+    gb = buchberger(generators)
+    for i, f in enumerate(gb.polys):
+        for g in gb.polys[i + 1 :]:
+            assert not normal_form(_s_poly(f, g), gb), (f, g)
+    for p in generators:
+        assert not normal_form(p, gb), p
+    reduced = reduce_basis(gb)
+    assert reduce_basis(reduced).polys == reduced.polys
 
 
 def test_basis_for_n6():

@@ -168,7 +168,7 @@ def _rectangle_basis(gb):
 
 
 def test_staircase_basis_matches_rectangle_scan():
-    # n = 6 is the Buchberger basis; 1408 and 1535 end levels of t = 10
+    # n = 6 is the first ring; 1408 and 1535 end levels of t = 10
     for n in [*range(6, 301), 1408, 1535]:
         gb = basis_for(n)
         q = QuotientRing(n, gb)
@@ -227,19 +227,34 @@ def test_quotient_suite_builds_one_ring_per_n(monkeypatch):
 
 
 def test_nonzero_staircase_matches_box_scan():
-    # top[c] against nf_bits over the whole box past both heights
+    # top(c) against nf_bits over the whole box past both heights; the
+    # columns are asked in a shuffled order, so most bisections start from
+    # known columns on both sides
+    rng = random.Random(20)
     for n in range(6, 65):
         q = QuotientRing(n, basis_for(n))
         h2, h3 = q.heights()
-        top = q.nonzero_staircase()
-        assert len(top) == h3 + 1 and top[0] == h2, n
-        assert all(a >= b for a, b in zip(top, top[1:])), n
-        for c, b in enumerate(top):
-            assert q.nf_bits(b, c) and not q.nf_bits(b + 1, c), (n, c)
+        cols = list(range(h3 + 2))
+        rng.shuffle(cols)
+        top = dict(zip(cols, map(q.top, cols)))
+        assert top[0] == h2 and top[h3 + 1] == -1, n
+        assert all(top[c] >= top[c + 1] for c in range(h3 + 1)), n
+        for c in range(h3 + 1):
+            assert q.nf_bits(top[c], c) and not q.nf_bits(top[c] + 1, c), (n, c)
         for b in range(h2 + 2):
             for c in range(h3 + 2):
-                assert bool(q.nf_bits(b, c)) == (c <= h3 and b <= top[c]), (n, b, c)
-        assert q.nonzero_staircase() is top  # cached on the ring
+                assert bool(q.nf_bits(b, c)) == (b <= top[c]), (n, b, c)
+        assert q._top_cols == list(range(h3 + 1)), n  # each column read once
+        with pytest.raises(ValueError):
+            q.top(-1)
+
+
+def test_edge_search_reads_few_columns():
+    # at W_1408 the walk's vanishing cells need at most two columns of the
+    # nonzero staircase, not all h3 + 1 = 512
+    q = QuotientRing(1408, basis_for(1408))
+    zcl.zcl_search(q)
+    assert 0 < len(q._top_cols) <= 2
 
 
 def test_ring_rejects_basis_reaching_top_degree():
