@@ -43,17 +43,16 @@ filled, never a whole row.  Fills are idempotent (any two computations of a
 slot agree), so readers sharing a ring stay consistent.
 
 top(c) reads the other shape of the ring one column at a time: the largest
-b with w2^b*w3^c != 0, or -1 past height(w3).  A divisor of a nonzero
+b with w2^b*w3^c != 0, or -1 when w3^c = 0.  A divisor of a nonzero
 monomial is nonzero, so these monomials form a staircase (w2^b*w3^c != 0 iff
-b <= top(c), top non-increasing).  Each column asked is found by bisection
-on nf_bits probes between the tops of its nearest columns already read, and
-kept on the ring.  The zcl cell test prunes its scan with it, reading only
-the columns its terms use.
+b <= top(c), top non-increasing), and each column asked is found by
+bisection on nf_bits probes and kept on the ring.  height(w2) is top(0).
+The zcl cell test prunes its scan with it, reading only the columns its
+terms use.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Set
 from typing import NamedTuple
 
@@ -125,9 +124,7 @@ class QuotientRing:
             )
         self.basis = StaircaseBasis(c_bound)
         self._rows: dict[int, list[int | None]] = {}
-        self._heights: Heights | None = None
         self._top: dict[int, int] = {}  # every column top() was asked, with its top
-        self._top_cols: list[int] = []  # the columns it probed (c <= h3), ascending
         self._rules = _tail_rules(gb)
 
     def nf_bits(self, b: int, c: int) -> int:
@@ -196,39 +193,31 @@ class QuotientRing:
         return frozenset(out)
 
     def heights(self) -> Heights:
-        if self._heights is None:
-            self._heights = brute_heights(self)
-        return self._heights
+        """Heights of w2 and w3 (brute_heights).  Not memoized: height(w2)
+        is the memoized top(0), and height(w3) is bisected again each call."""
+        return brute_heights(self)
 
     def top(self, c: int) -> int:
         """The largest b with w2^b*w3^c != 0, or -1 when w3^c = 0.
 
         The nonzero monomials are closed under division, so w2^b*w3^c != 0
-        exactly when b <= top(c), and top never increases in c.  So the
-        columns already read bound this one: it lies between the tops of its
-        nearest known neighbours (height(w2) and 0 where there is none), and
-        a bisection on nf_bits probes finds it.  Memoized per ring.
+        exactly when b <= top(c), and top never increases in c.  So top(c)
+        lies in [-1, top(0)], and column 0 in [-1, max_degree // 2], since
+        no monomial above max_degree is nonzero; a bisection on nf_bits
+        probes finds it.  Memoized per ring.
         """
         got = self._top.get(c)
         if got is not None:
             return got
         if c < 0:
             raise ValueError(f"negative exponent in w3^{c}")
-        h2, h3 = self.heights()
-        if c > h3:
-            got = -1
-        else:
-            cols, known = self._top_cols, self._top
-            i = bisect_left(cols, c)
-            got = known[cols[i]] if i < len(cols) else 0  # w2^got*w3^c != 0
-            hi = known[cols[i - 1]] if i else h2
-            while got < hi:
-                mid = (got + hi + 1) // 2
-                if self.nf_bits(mid, c):
-                    got = mid
-                else:
-                    hi = mid - 1
-            cols.insert(i, c)
+        got, hi = -1, self.top(0) if c else self.max_degree // 2
+        while got < hi:
+            mid = (got + hi + 1) // 2
+            if self.nf_bits(mid, c):
+                got = mid
+            else:
+                hi = mid - 1
         self._top[c] = got
         return got
 
@@ -282,19 +271,17 @@ def class_nonzero(q: QuotientRing, b: int, c: int) -> bool:
 
 
 def brute_heights(q: QuotientRing) -> Heights:
-    """Heights of w2 and w3 in W_n by bisection on nf_bits probes of powers:
-    w^k = 0 implies w^(k+1) = 0, and no power above max_degree is nonzero."""
-    found = []
-    for db, dc in ((1, 0), (0, 1)):
-        lo, hi = 1, q.max_degree // (2 * db + 3 * dc)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if q.nf_bits(db * mid, dc * mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        found.append(lo)
-    return Heights(*found)
+    """Heights of w2 and w3 in W_n: height(w2) is q.top(0), and height(w3)
+    comes from a bisection on nf_bits probes of its powers: w3^k = 0 implies
+    w3^(k+1) = 0, and no power above max_degree is nonzero."""
+    lo, hi = 1, q.max_degree // 3
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if q.nf_bits(0, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return Heights(q.top(0), lo)
 
 
 def heights_closed_form(n: int) -> Heights:

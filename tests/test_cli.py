@@ -345,9 +345,15 @@ _INT_FIELDS = [("schema_version",), ("n",), ("value",)] + [
 ] + [("witness", "pair", i, j) for i in (0, 1) for j in (0, 1)]
 _MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(_FIELDS)),
-    st.tuples(st.just("retype"), st.sampled_from(_INT_FIELDS), st.sampled_from([bool, str, float, list])),
+    st.tuples(
+        st.just("retype"),
+        st.sampled_from(_INT_FIELDS),
+        st.sampled_from([bool, str, float, lambda v: [v], lambda v: None]),
+    ),
     st.tuples(st.just("shift"), st.sampled_from(_INT_FIELDS), st.sampled_from([-1, 1])),
-    st.tuples(st.just("huge"), st.sampled_from(_INT_FIELDS), st.sampled_from([2**64, 10**400])),
+    st.tuples(
+        st.just("huge"), st.sampled_from(_INT_FIELDS), st.sampled_from([2**64, 10**30, 10**400])
+    ),
     st.tuples(st.just("move"), st.integers(6, 40)),
 )
 
@@ -380,7 +386,7 @@ def test_load_serves_a_mutated_entry_only_as_searched(searched_6_40, n, mutation
             if kind == "drop":
                 del holder[last]
             elif kind == "retype":
-                holder[last] = [holder[last]] if arg is list else arg(holder[last])
+                holder[last] = arg(holder[last])
             elif kind == "shift":
                 holder[last] += arg
             else:
@@ -623,6 +629,30 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "zcl(W_9) = 7\n"
+
+
+def test_failing_property_test_fails_cleanly(tmp_path):
+    # under this repo's pytest settings, where warnings are errors, a failing
+    # @given test prints its falsifying example and fails with exit code 1,
+    # not with an INTERNALERROR raised inside hypothesis's failure report
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 10\n"
+    )
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out
 
 
 def test_package_has_no_bare_assert():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w23 import verify, zcl
 from w23.groebner import GroebnerBasis, basis_for, binary_profile, normal_form
@@ -93,25 +95,39 @@ def test_fast_path_matches_division():
             assert nf_monomial(q, b, c) == normal_form(Poly({(b, c)}), gb), (n, b, c)
 
 
+def _decoded(bits, d):
+    # the packed memo, decoded by hand through the bit rule: bit i of a
+    # degree-d form is the monomial with w2 exponent 3i + (2d) % 3
+    out = set()
+    for i in range(bits.bit_length()):
+        if bits >> i & 1:
+            mb = 3 * i + 2 * d % 3
+            assert 2 * mb <= d, (bits, d)
+            out.add((mb, (d - 2 * mb) // 3))
+    return out
+
+
 def test_nf_bits_decode_to_division():
-    # the packed memo, decoded by hand through the bit rule (bit i of a
-    # degree-d form is the monomial with w2 exponent 3i + (2d) % 3), against
-    # heap division
+    # the packed memo, decoded, against heap division
     rng = random.Random(2024)
     for n in (6, 9, 21, 22, 40, 63):
         q = build_quotient(n)
         gb = basis_for(n)
         for _ in range(150):
             b, c = rng.randrange(2 * n), rng.randrange(n)
-            bits = q.nf_bits(b, c)
-            d = 2 * b + 3 * c
-            decoded = set()
-            for i in range(bits.bit_length()):
-                if bits >> i & 1:
-                    mb = 3 * i + 2 * d % 3
-                    assert 2 * mb <= d, (n, b, c)
-                    decoded.add((mb, (d - 2 * mb) // 3))
+            decoded = _decoded(q.nf_bits(b, c), 2 * b + 3 * c)
             assert decoded == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(6, 80), data=st.data())
+def test_nf_bits_decode_to_division_on_drawn_monomials(n, data):
+    # any monomial up to just past the top degree, on a fresh ring
+    q = build_quotient(n)
+    c = data.draw(st.integers(0, q.max_degree // 3 + 1), label="c")
+    b = data.draw(st.integers(0, (q.max_degree - 3 * c) // 2 + 2), label="b")
+    decoded = _decoded(q.nf_bits(b, c), 2 * b + 3 * c)
+    assert decoded == normal_form(Poly({(b, c)}), basis_for(n)).terms
 
 
 def test_generic_rows_match_division_on_w6():
@@ -227,9 +243,8 @@ def test_quotient_suite_builds_one_ring_per_n(monkeypatch):
 
 
 def test_nonzero_staircase_matches_box_scan():
-    # top(c) against nf_bits over the whole box past both heights; the
-    # columns are asked in a shuffled order, so most bisections start from
-    # known columns on both sides
+    # top(c) against nf_bits over the whole box past both heights, with the
+    # columns asked in a shuffled order
     rng = random.Random(20)
     for n in range(6, 65):
         q = QuotientRing(n, basis_for(n))
@@ -237,6 +252,7 @@ def test_nonzero_staircase_matches_box_scan():
         cols = list(range(h3 + 2))
         rng.shuffle(cols)
         top = dict(zip(cols, map(q.top, cols)))
+        cols.sort()
         assert top[0] == h2 and top[h3 + 1] == -1, n
         assert all(top[c] >= top[c + 1] for c in range(h3 + 1)), n
         for c in range(h3 + 1):
@@ -244,17 +260,35 @@ def test_nonzero_staircase_matches_box_scan():
         for b in range(h2 + 2):
             for c in range(h3 + 2):
                 assert bool(q.nf_bits(b, c)) == (b <= top[c]), (n, b, c)
-        assert q._top_cols == list(range(h3 + 1)), n  # each column read once
+        assert sorted(q._top) == cols, n
+        q.nf_bits = None  # each column is read once: asking again probes nothing
+        assert [q.top(c) for c in cols] == [top[c] for c in cols], n
         with pytest.raises(ValueError):
             q.top(-1)
 
 
 def test_edge_search_reads_few_columns():
     # at W_1408 the walk's vanishing cells need at most two columns of the
-    # nonzero staircase, not all h3 + 1 = 512
+    # nonzero staircase, not all h3 + 1 = 512; and the heights bisect no
+    # powers of w2 beyond those top(0) reads, so the search fills 1,264
+    # memo slots (2,032 when height(w2) had its own bisection)
     q = QuotientRing(1408, basis_for(1408))
     zcl.zcl_search(q)
-    assert 0 < len(q._top_cols) <= 2
+    assert 0 < len(q._top) <= 2
+    assert _filled_slots(q) < 1600
+
+
+@settings(max_examples=40)
+@given(n=st.integers(6, 120), data=st.data())
+def test_top_matches_linear_scan(n, data):
+    # top(c) against a linear scan of its column and a linear walk on the
+    # powers of w3, neither of which reads top or the heights
+    q = build_quotient(n)
+    h3 = max(k for k in range(q.max_degree // 3 + 1) if q.nf_bits(0, k))
+    c = data.draw(st.integers(0, h3 + 1), label="c")
+    scan = [b for b in range(q.max_degree // 2 + 1) if q.nf_bits(b, c)]
+    assert q.top(c) == (scan[-1] if scan else -1)
+    assert q.top(h3 + 1) == -1
 
 
 def test_ring_rejects_basis_reaching_top_degree():
@@ -325,6 +359,12 @@ def test_bisected_heights_match_closed_form_and_linear_walk():
         assert brute_heights(build_quotient(n)) == _linear_heights(build_quotient(n)), n
     for n in (*range(7, 301), 1022, 2046):
         assert brute_heights(build_quotient(n)) == heights_closed_form(n), n
+
+
+@settings(max_examples=40)
+@given(n=st.integers(7, 600))
+def test_heights_match_closed_form_on_drawn_n(n):
+    assert brute_heights(build_quotient(n)) == heights_closed_form(n)
 
 
 def test_powers_vanish_beyond_height():

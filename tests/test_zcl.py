@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w23 import cache as cache_module
 from w23 import zcl as zcl_module
@@ -588,6 +590,24 @@ def test_chain_must_run_down():
     for ns in ([20, 21], [21, 21], [30, 22, 25]):
         with pytest.raises(ValueError):
             cache_module._sweep(ns, None)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_vanishing_runs_down_the_chain(data):
+    # what a chained sweep relies on: for m > n, I_m lies in I_n, so a cell
+    # that vanishes in W_m vanishes in W_n, and (the same implication read
+    # the other way) a cell nonzero in W_n is nonzero in W_m; the cells are
+    # drawn within W_n's caps
+    n = data.draw(st.integers(6, 149), label="n")
+    m = data.draw(st.integers(n + 1, 150), label="m")
+    qn, qm = build_quotient(n), build_quotient(m)
+    h2, h3 = qn.heights()
+    cells = st.tuples(st.integers(0, _zcap(h2)), st.integers(0, _zcap(h3)))
+    for beta, gamma in data.draw(st.lists(cells, min_size=1, max_size=8), label="cells"):
+        in_n = zero_divisor_product_nonzero(qn, beta, gamma)
+        in_m = zero_divisor_product_nonzero(qm, beta, gamma)
+        assert in_m or not in_n, (n, m, beta, gamma)
 
 
 def test_real_pool_matches_serial_sweep(tmp_path):
