@@ -1,13 +1,15 @@
 """Command-line surface: compute, print tables, run the verification suites.
 
-Each integer floor is the argparse type `_at_least(low)`, so a value below
-it is a usage error before any command runs. Each `cmd_*` checks the rules
-that tie arguments together, computes, and returns a View: a builder per
-output format, each run only when its format is asked for, and the exit
-status. `main` hands the view to `_render`, the one place that reads
-`--format`. Each subcommand declares its own flags: csv only where there is
-a table (`basis`, `zcl-range`, `table`), `--jobs` and `--cache-dir` only
-where they are read.
+Each integer floor is the argparse type `_at_least(low)`, and each range,
+`N` or `LO..HI`, is `_range_from(low)`, which reads both ends through it; so
+a value below its floor is a usage error before any command runs. Each
+`cmd_*` checks the rules that tie arguments together, computes, and returns
+a View: one function per output format, each run only when its format is asked
+for, and the exit status. `main` hands the view to `_render`, the one place
+that reads `--format`. Each subcommand declares its own flags: csv only
+where there is a table (`basis`, `zcl-range`, each `table`), `--jobs` and
+`--cache-dir` only where they are read. Each table is a subcommand of
+`table`; `g`, `heights` and `tc` take a range, each with its own floor.
 
 Exit codes: 0 success, 1 verification or cross-check failure, 2 usage error.
 """
@@ -55,20 +57,6 @@ def _render(fmt: str, view: View) -> int:
     return view.status
 
 
-def _range_arg(text: str) -> tuple[int, int]:
-    try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from exc
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
-
-
 def _at_least(low: int) -> Callable[[str], int]:
     """An argparse type: a plain decimal integer >= low."""
 
@@ -78,6 +66,20 @@ def _at_least(low: int) -> Callable[[str], int]:
         return int(text)
 
     return integer
+
+
+def _range_from(low: int) -> Callable[[str], tuple[int, int]]:
+    """An argparse type: N or LO..HI, each end read by _at_least(low)."""
+    end = _at_least(low)
+
+    def span(text: str) -> tuple[int, int]:
+        lo_text, dots, hi_text = text.partition("..")
+        lo, hi = end(lo_text), end(hi_text if dots else lo_text)
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        return lo, hi
+
+    return span
 
 
 def _cache_dir(args, parser) -> Path | None:
@@ -104,17 +106,11 @@ def cmd_g(args, parser) -> View:
 
 def cmd_groebner(args, parser) -> View:
     gb = basis_for(args.n)
-    if args.n >= 7:
-        prof = binary_profile(args.n)
-        t, alpha, s = prof.t, list(prof.alpha), list(prof.s)
-    else:
-        t = alpha = s = None
+    prof = binary_profile(args.n)
+    t, alpha, s = prof.t, list(prof.alpha), list(prof.s)
 
     def lines():
-        if t is not None:
-            yield f"n = {args.n}  t = {t}  alpha = {alpha}  s = {s}"
-        else:
-            yield f"n = {args.n}"
+        yield f"n = {args.n}  t = {t}  alpha = {alpha}  s = {s}"
         for i, (f, lm) in enumerate(zip(gb.polys, gb.lms)):
             yield f"f_{i} = {poly_text(f)}   lm = {mono_text(lm)}"
 
@@ -256,9 +252,8 @@ def cmd_bounds(args, parser) -> View:
     return View(json=lambda: dict(row._asdict()), text=lines)
 
 
-def _table_g(parser, lo: int, hi: int) -> View:
-    if lo < 0:
-        parser.error("series indices start at 0")
+def _table_g(args, parser) -> View:
+    lo, hi = args.range
     rows = [(r, g_recurrence(r)) for r in range(lo, hi + 1)]
     return View(
         json=lambda: [{"r": r, "terms": _poly_json(p)} for r, p in rows],
@@ -267,7 +262,7 @@ def _table_g(parser, lo: int, hi: int) -> View:
     )
 
 
-def _table_small_n() -> View:
+def _table_small_n(args, parser) -> View:
     header = ["n", "zcl"]
     rows = sorted(SMALL_N_ZCL.items())
     return View(
@@ -277,9 +272,8 @@ def _table_small_n() -> View:
     )
 
 
-def _table_heights(parser, lo: int, hi: int) -> View:
-    if lo < 7:
-        parser.error("the heights table starts at n = 7")
+def _table_heights(args, parser) -> View:
+    lo, hi = args.range
     header = ["n", "h2", "h3"]
     rows = [[n, *heights_closed_form(n)] for n in range(lo, hi + 1)]
     return View(
@@ -289,12 +283,11 @@ def _table_heights(parser, lo: int, hi: int) -> View:
     )
 
 
-def _table_tc(parser, t_lo: int, t_hi: int) -> View:
+def _table_tc(args, parser) -> View:
     from .bounds import tc_table_rows
 
-    if t_lo < 4:
-        parser.error("the tc table starts at level t = 4")
-    levels = [(t, tc_table_rows(t)) for t in range(t_lo, t_hi + 1)]
+    lo, hi = args.range
+    levels = [(t, tc_table_rows(t)) for t in range(lo, hi + 1)]
     flat = [(t, row) for t, rows in levels for row in rows]
     header = ["t", "n_first", "n_last", "zcl_wn", "zcl_oriented_lo", "zcl_oriented_exact", "tc_lower"]
 
@@ -318,20 +311,6 @@ def _table_tc(parser, t_lo: int, t_hi: int) -> View:
         text=lines,
         csv=lambda: (header, csv_rows()),
     )
-
-
-def cmd_table(args, parser) -> View:
-    if args.t is not None and args.which != "tc":
-        parser.error("--t is read only by 'table tc'")
-    if args.which == "g":
-        return _table_g(parser, *(args.range or (0, 26)))
-    if args.range is not None and args.which != "heights":
-        parser.error(f"'table {args.which}' takes no range")
-    if args.which == "small-n":
-        return _table_small_n()
-    if args.which == "heights":
-        return _table_heights(parser, *(args.range or (7, 62)))
-    return _table_tc(parser, *(args.t or (4, 5)))
 
 
 # the names of verify.SUITES, spelled out so that parsing does not load the suites
@@ -366,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, formats=("text", "json")):
-        p = sub.add_parser(name, help=summary)
+    def command(name, func, summary, formats=("text", "json"), under=sub):
+        p = under.add_parser(name, help=summary)
         p.add_argument("--format", choices=formats, default="text", help="output format")
         p.set_defaults(func=func)
         return p
@@ -407,17 +386,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("zcl-range", cmd_zcl_range, "zcl(W_n) for a range of n", with_csv)
     p.add_argument("lo", type=_at_least(6))
-    p.add_argument("hi", type=int)
+    p.add_argument("hi", type=_at_least(6))
     p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     p.add_argument("--cache-dir", help=cache_help)
 
     p = command("bounds", cmd_bounds, "sandwich bounds and TC lower bound")
     p.add_argument("n", type=_at_least(15))
 
-    p = command("table", cmd_table, "reproduce a published table", with_csv)
-    p.add_argument("which", choices=("g", "small-n", "heights", "tc"))
-    p.add_argument("range", type=_range_arg, nargs="?", help="LO..HI (g and heights)")
-    p.add_argument("--t", type=_range_arg, help="level range for tc (default 4..5)")
+    table = sub.add_parser("table", help="reproduce a published table")
+    tables = table.add_subparsers(dest="table", required=True)
+    command("small-n", _table_small_n, "zcl(W_n) for n = 6..14", with_csv, tables)
+    for name, func, summary, low, hi in (
+        ("g", _table_g, "the series g_r", 0, 26),
+        ("heights", _table_heights, "heights of w2 and w3 in W_n", 7, 62),
+        ("tc", _table_tc, "TC lower bounds of G~(n,3) by level t", 4, 5),
+    ):
+        p = command(name, func, summary, with_csv, tables)
+        range_help = f"N or LO..HI, each end >= {low} (default {low}..{hi})"
+        p.add_argument(
+            "range", type=_range_from(low), nargs="?", default=(low, hi), help=range_help
+        )
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("suites", nargs="+", choices=SUITE_CHOICES)

@@ -53,11 +53,23 @@ terms use.
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Callable, Set
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, basis_for
 from .poly import Monomial, Poly
+
+
+def last_true(pred: Callable[[int], object], lo: int, hi: int) -> int:
+    """The largest x in [lo, hi] with pred(x), for a pred true up to a point
+    and false after it, taken as true at lo: bisection at upper midpoints."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class Heights(NamedTuple):
@@ -211,14 +223,8 @@ class QuotientRing:
             return got
         if c < 0:
             raise ValueError(f"negative exponent in w3^{c}")
-        got, hi = -1, self.top(0) if c else self.max_degree // 2
-        while got < hi:
-            mid = (got + hi + 1) // 2
-            if self.nf_bits(mid, c):
-                got = mid
-            else:
-                hi = mid - 1
-        self._top[c] = got
+        hi = self.top(0) if c else self.max_degree // 2
+        got = self._top[c] = last_true(lambda b: self.nf_bits(b, c), -1, hi)
         return got
 
     def by_degree(self) -> dict[int, list[Monomial]]:
@@ -274,14 +280,7 @@ def brute_heights(q: QuotientRing) -> Heights:
     """Heights of w2 and w3 in W_n: height(w2) is q.top(0), and height(w3)
     comes from a bisection on nf_bits probes of its powers: w3^k = 0 implies
     w3^(k+1) = 0, and no power above max_degree is nonzero."""
-    lo, hi = 1, q.max_degree // 3
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if q.nf_bits(0, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return Heights(q.top(0), lo)
+    return Heights(q.top(0), last_true(lambda k: q.nf_bits(0, k), 1, q.max_degree // 3))
 
 
 def heights_closed_form(n: int) -> Heights:

@@ -76,7 +76,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .poly import Monomial, lucas_binom_mod2
-from .quotient import QuotientRing
+from .quotient import QuotientRing, last_true
 
 SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
 
@@ -239,14 +239,7 @@ def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list
     lo, hi, step = gamma, gamma_cap + 1, 1  # (beta, lo) nonzero; (beta, hi) vanishes
     while lo + step < hi and _nonzero(q, beta, lo + step, stair):
         lo, step = lo + step, 2 * step
-    hi = min(hi, lo + step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _nonzero(q, beta, mid, stair):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return last_true(lambda g: _nonzero(q, beta, g, stair), lo, min(hi, lo + step) - 1)
 
 
 def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:

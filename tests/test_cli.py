@@ -20,7 +20,7 @@ from w23 import cli as cli_module
 from w23 import groebner as groebner_module
 from w23.bounds import tc_table_rows
 from w23.cli import main
-from w23.groebner import basis_for, buchberger, reduce_basis
+from w23.groebner import basis_for, binary_profile, buchberger, reduce_basis
 from w23.gseries import g_recurrence
 from w23.poly import W2, W3, Poly
 from w23.quotient import build_quotient
@@ -90,20 +90,34 @@ def test_groebner_text_shows_lms(capsys):
 
 
 def test_groebner_small_n(capsys):
-    code, out = run(capsys, "groebner", "6", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["t"] is None and payload["alpha"] is None
+    # the binary profile F_n is built from is printed below n = 7 as well
+    profiles = {
+        2: (1, [1], [1]),
+        3: (2, [0, 0], [0, 0]),
+        4: (2, [1, 0], [1, 1]),
+        5: (2, [0, 1], [0, 2]),
+        6: (2, [1, 1], [1, 3]),
+    }
+    for n, profile in profiles.items():
+        code, out = run(capsys, "groebner", str(n), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["t"], payload["alpha"], payload["s"]) == profile, n
 
 
-# the text the commands print on the smallest rings, the same as when
-# basis_for ran Buchberger below n = 7
+# the text the commands print on the smallest rings: the bases are the same
+# as when basis_for ran Buchberger below n = 7, and groebner prints the
+# binary profile they are built from for every n
 SMALL_RING_TEXT = {
-    ("groebner", "2"): "n = 2\nf_0 = 1   lm = 1\n",
-    ("groebner", "3"): "n = 3\nf_0 = w2   lm = w2\nf_1 = w3   lm = w3\n",
-    ("groebner", "4"): "n = 4\nf_0 = w2   lm = w2\nf_1 = w3   lm = w3\n",
-    ("groebner", "5"): "n = 5\nf_0 = w2^2   lm = w2^2\nf_1 = w3   lm = w3\n",
-    ("groebner", "6"): "n = 6\nf_0 = w2^2   lm = w2^2\nf_1 = w3^2   lm = w3^2\n",
+    ("groebner", "2"): "n = 2  t = 1  alpha = [1]  s = [1]\nf_0 = 1   lm = 1\n",
+    ("groebner", "3"): "n = 3  t = 2  alpha = [0, 0]  s = [0, 0]\n"
+    "f_0 = w2   lm = w2\nf_1 = w3   lm = w3\n",
+    ("groebner", "4"): "n = 4  t = 2  alpha = [1, 0]  s = [1, 1]\n"
+    "f_0 = w2   lm = w2\nf_1 = w3   lm = w3\n",
+    ("groebner", "5"): "n = 5  t = 2  alpha = [0, 1]  s = [0, 2]\n"
+    "f_0 = w2^2   lm = w2^2\nf_1 = w3   lm = w3\n",
+    ("groebner", "6"): "n = 6  t = 2  alpha = [1, 1]  s = [1, 3]\n"
+    "f_0 = w2^2   lm = w2^2\nf_1 = w3^2   lm = w3^2\n",
     ("groebner", "7"): "n = 7  t = 3  alpha = [0, 0, 0]  s = [0, 0, 0]\n"
     "f_0 = w2^3 + w3^2   lm = w2^3\nf_1 = w2^2*w3   lm = w2^2*w3\nf_2 = w3^3   lm = w3^3\n",
     ("basis", "6"): "W_6: 4 basis monomials, top degree 5\n"
@@ -134,7 +148,8 @@ def test_no_command_runs_buchberger_or_heap_division(capsys, monkeypatch):
     for n, gb in reference.items():
         code, out = run(capsys, "groebner", str(n), "--format", "json")
         payload = json.loads(out)
-        assert code == 0 and (payload["t"] is None) == (n < 7), n
+        prof = binary_profile(n)
+        assert code == 0 and payload["t"] == prof.t and payload["s"] == list(prof.s), n
         polys = [Poly((term["b"], term["c"]) for term in entry["terms"]) for entry in payload["polys"]]
         assert polys == list(gb.polys), n
 
@@ -471,12 +486,12 @@ def test_table_heights_golden(capsys):
 
 def test_table_tc_csv_golden(capsys):
     for t in (4, 5):
-        _, out = run(capsys, "table", "tc", "--t", str(t), "--format", "csv")
+        _, out = run(capsys, "table", "tc", str(t), "--format", "csv")
         assert out == (GOLDEN / f"tc_t{t}.csv").read_text()
 
 
 def test_table_tc_json_round_trip(capsys):
-    _, out = run(capsys, "table", "tc", "--t", "4..5", "--format", "json")
+    _, out = run(capsys, "table", "tc", "4..5", "--format", "json")
     rows = json.loads(out)
     assert json.loads(json.dumps(rows)) == rows
     by_t = {4: tc_table_rows(4), 5: tc_table_rows(5)}
@@ -574,11 +589,27 @@ def test_usage_errors_exit_2(capsys):
         ["groebner", "1"],
         ["nf", "21", "-1", "0"],
         ["verify", "all", "--t-max", "2"],
+        ["zcl-range", "6", "+7"],
+        ["zcl-range", "6", "1_0"],
+        ["table", "g", "0..+3"],
+        ["table", "heights", "6..8"],
+        ["table", "tc", "3"],
+        ["table", "small-n", "1..2"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
         assert capsys.readouterr().out == "", argv
+
+
+def test_table_range_may_follow_format(capsys):
+    # each table has one positional argument, so its range parses on either
+    # side of --format
+    for which, span in (("g", "3..5"), ("heights", "7..9"), ("tc", "4")):
+        for fmt in ("text", "json", "csv"):
+            before = run(capsys, "table", which, span, "--format", fmt)
+            after = run(capsys, "table", which, "--format", fmt, span)
+            assert before == after and before[0] == 0, (which, fmt)
 
 
 # one small invocation per subcommand, run in every format it offers
@@ -591,20 +622,33 @@ FORMAT_ARGVS = {
     "zcl": ["zcl", "8", "--witness", "--closed-form-check"],
     "zcl-range": ["zcl-range", "6", "8"],
     "bounds": ["bounds", "15"],
-    "table": ["table", "heights", "7..9"],
+    "table g": ["table", "g", "0..3"],
+    "table small-n": ["table", "small-n"],
+    "table heights": ["table", "heights", "7..9"],
+    "table tc": ["table", "tc", "4"],
     "verify": ["verify", "bounds", "--t-max", "4"],
 }
 
 
+def _commands(parser, prefix=()):
+    """(words, subparser) for every command, the tables under `table`."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, subparser in subs.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in subparser._actions):
+            yield from _commands(subparser, (*prefix, name))
+        else:
+            yield (*prefix, name), subparser
+
+
 def test_every_format_of_every_command(capsys, monkeypatch):
     monkeypatch.delenv(cache.ENV_VAR, raising=False)
-    parser = cli_module._build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(commands.choices) == set(FORMAT_ARGVS)
+    commands = dict(_commands(cli_module._build_parser()))
+    assert {" ".join(words) for words in commands} == set(FORMAT_ARGVS)
     offers_csv = set()
-    for name, subparser in commands.choices.items():
+    for words, subparser in commands.items():
+        name = " ".join(words)
         with pytest.raises(SystemExit) as err:
-            main([name, "--help"])
+            main([*words, "--help"])
         assert err.value.code == 0, name
         capsys.readouterr()
         (fmt,) = [a for a in subparser._actions if a.dest == "format"]
@@ -618,7 +662,9 @@ def test_every_format_of_every_command(capsys, monkeypatch):
             elif choice == "csv":
                 header = next(csv.reader(io.StringIO(out)))
                 assert header and all(field.isidentifier() for field in header), (name, out)
-    assert offers_csv == {"basis", "zcl-range", "table"}
+    assert offers_csv == {
+        "basis", "zcl-range", "table g", "table small-n", "table heights", "table tc"
+    }
 
 
 def test_console_script_entry_point():

@@ -610,6 +610,23 @@ def test_vanishing_runs_down_the_chain(data):
         assert in_m or not in_n, (n, m, beta, gamma)
 
 
+@settings(max_examples=100)
+@given(data=st.data())
+def test_cell_test_matches_graded_pieces(data):
+    # the packed-row cell test, with its staircase-narrowed scan, against
+    # the tensor-square oracle's pieces over the same scanned degrees, on
+    # cells drawn within the caps the search walks
+    n = data.draw(st.integers(6, 60), label="n")
+    q = build_quotient(n)
+    h2, h3 = q.heights()
+    cells = st.tuples(st.integers(0, _zcap(h2)), st.integers(0, _zcap(h3)))
+    for beta, gamma in data.draw(st.lists(cells, min_size=1, max_size=8), label="cells"):
+        pieces = any(
+            graded_piece(q, beta, gamma, r).element for r in _scan_degrees(q, beta, gamma)
+        )
+        assert zero_divisor_product_nonzero(q, beta, gamma) == pieces, (n, beta, gamma)
+
+
 def test_real_pool_matches_serial_sweep(tmp_path):
     serial = zcl_results(range(6, 63))
     assert zcl_results(range(6, 63), cache_dir=tmp_path, jobs=2) == serial
