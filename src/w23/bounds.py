@@ -9,18 +9,19 @@ equality with the lower value is conjectured for all n >= 6, and everything
 in this module keeps that epistemic split explicit (an optional `exact` field
 rather than a claimed value).  No quotient ring is ever built here: callers
 supply zcl(W_n) and the rest is arithmetic.
+
+The TC table of a level is read off these closed forms: its rows are the
+maximal runs of n on which zcl(W_n) and the exactness status are constant,
+so the boundaries live only in zcl_closed_form and exactness_established.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, NamedTuple, Optional
 
+from .groebner import level
 from .zcl import zcl_closed_form
-
-
-def _level(n: int) -> int:
-    """The t with 2^t - 1 <= n <= 2^(t+1) - 2."""
-    return (n + 1).bit_length() - 1
 
 
 def exceptional_degrees(n: int) -> tuple[int, Optional[int]]:
@@ -32,7 +33,7 @@ def exceptional_degrees(n: int) -> tuple[int, Optional[int]]:
     """
     if n < 15:
         raise ValueError(f"exceptional degrees are tabulated for n >= 15, got {n}")
-    p = 1 << _level(n)
+    p = 1 << level(n)
     first = 3 * n - 2 * p - 1
     second = 2 * p - 4
     if n in {p - 1, p, 2 * p - 3, 2 * p - 2}:
@@ -50,7 +51,7 @@ def height_z_w2(n: int) -> int:
     """
     if n < 7:
         raise ValueError(f"closed form needs n >= 7, got {n}")
-    p = 1 << _level(n)
+    p = 1 << level(n)
     return p - 1 if n <= p + p // 2 else 2 * p - 1
 
 
@@ -63,7 +64,7 @@ def exactness_established(n: int) -> bool:
     """
     if n < 15:
         raise ValueError(f"exactness ranges start at n = 15, got {n}")
-    t = _level(n)
+    t = level(n)
     p = 1 << t
     if 6 * n < 7 * p + 6:
         return True
@@ -112,7 +113,8 @@ def bounds_row(n: int, zcl_value: int) -> BoundsRow:
 
 
 class TcBand(NamedTuple):
-    """One row of the TC lower-bound table: a run of n sharing one zcl value.
+    """One row of the TC lower-bound table: a maximal run of n sharing one
+    zcl value and one exactness status.
 
     `exact` marks rows where zcl(G~(n,3)) = zcl_oriented_lo is established;
     elsewhere the lo value is only a bound (and conjecturally the truth).
@@ -126,50 +128,20 @@ class TcBand(NamedTuple):
     tc_lower: int
 
 
-def tc_table_bands(t: int) -> list[tuple[int, int]]:
-    """The [n_first, n_last] runs that tile [2^t - 1, 2^(t+1) - 2].
-
-    Runs are maximal stretches on which both zcl(W_n) and the exactness
-    status are constant; the last quarter splits into one run per s with
-    2^(t+1) - 2^(s+1) + 1 <= n <= 2^(t+1) - 2^s, s = t-3 down to 1.
-    """
-    if t < 4:
-        raise ValueError(f"levels start at t = 4, got {t}")
-    p = 1 << t
-    bands = [
-        (p - 1, p + (p // 2) // 3 + 1),
-        (p + (p // 2) // 3 + 2, p + p // 4),
-        (p + p // 4 + 1, p + p // 4 + 1),
-        (p + p // 4 + 2, p + p // 2),
-        (p + p // 2 + 1, p + p // 2 + 1),
-        (p + p // 2 + 2, p + p // 2 + p // 8),
-        (p + p // 2 + p // 8 + 1, p + p // 2 + p // 4),
-    ]
-    for s in range(t - 3, 0, -1):
-        bands.append((2 * p - (1 << (s + 1)) + 1, 2 * p - (1 << s)))
-    return bands
-
-
 def tc_table_rows(
     t: int, zcl_fn: Callable[[int], int] = zcl_closed_form
 ) -> list[TcBand]:
-    """TC lower-bound rows for level t, one TcBand per run of n.
+    """TC lower-bound rows for level t: one TcBand per maximal run of n in
+    [2^t - 1, 2^(t+1) - 2] sharing zcl_fn(n) and exactness_established(n).
 
-    zcl_fn supplies zcl(W_n); swapping the default closed form for the
-    search-based value cross-checks the band structure against computation.
-    Every n in a run is evaluated, and a run that fails to be constant in
-    either the zcl value or the exactness status raises RuntimeError.
+    zcl_fn supplies zcl(W_n); every n is evaluated, so a search-based zcl_fn
+    that differs from the closed form anywhere yields different rows.
     """
+    if t < 4:
+        raise ValueError(f"levels start at t = 4, got {t}")
     rows = []
-    for n_first, n_last in tc_table_bands(t):
-        ns = range(n_first, n_last + 1)
-        values = {zcl_fn(n) for n in ns}
-        flags = {exactness_established(n) for n in ns}
-        if len(values) != 1 or len(flags) != 1:
-            raise RuntimeError(
-                f"band [{n_first}, {n_last}] is not constant:"
-                f" zcl values {sorted(values)}, exactness {sorted(flags)}"
-            )
-        v = values.pop()
-        rows.append(TcBand(n_first, n_last, v, v + 1, flags.pop(), v + 2))
+    ns = range((1 << t) - 1, (2 << t) - 1)
+    for (v, exact), run in groupby(ns, lambda n: (zcl_fn(n), exactness_established(n))):
+        run = list(run)
+        rows.append(TcBand(run[0], run[-1], v, v + 1, exact, v + 2))
     return rows

@@ -3,13 +3,14 @@
 Each integer floor is the argparse type `_at_least(low)`, and each range,
 `N` or `LO..HI`, is `_range_from(low)`, which reads both ends through it; so
 a value below its floor is a usage error before any command runs. Each
-`cmd_*` checks the rules that tie arguments together, computes, and returns
-a View: one function per output format, each run only when its format is asked
-for, and the exit status. `main` hands the view to `_render`, the one place
-that reads `--format`. Each subcommand declares its own flags: csv only
-where there is a table (`basis`, `zcl-range`, each `table`), `--jobs` and
-`--cache-dir` only where they are read. Each table is a subcommand of
-`table`; `g`, `heights` and `tc` take a range, each with its own floor.
+`cmd_*` gets its own subcommand's parser, reports there a broken rule that
+ties arguments together, computes, and returns a View: one function per
+output format, each run only when its format is asked for, and the exit
+status. `main` hands the view to `_render`, the one place that reads
+`--format`. Each subcommand declares its own flags: csv only where there is
+a table (`basis`, `zcl-range`, each `table`), `--jobs` and `--cache-dir`
+only where they are read. Each table is a subcommand of `table`; `g`,
+`heights` and `tc` take a range, each with its own floor.
 
 Exit codes: 0 success, 1 verification or cross-check failure, 2 usage error.
 """
@@ -348,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary, formats=("text", "json"), under=sub):
         p = under.add_parser(name, help=summary)
         p.add_argument("--format", choices=formats, default="text", help="output format")
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args: func(args, p))
         return p
 
     cache_help = f"directory for resumable results (overrides ${cache.ENV_VAR})"
@@ -417,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return _render(args.format, args.func(args, parser))
+    return _render(args.format, args.func(args))
 
 
 if __name__ == "__main__":

@@ -67,10 +67,15 @@ class BinaryProfile(_ProfileFields):
         return self.s[i - 1] if i > 0 else 0
 
 
+def level(n: int) -> int:
+    """The level t of n: 2^t - 1 <= n <= 2^(t+1) - 2."""
+    return (n + 1).bit_length() - 1
+
+
 def binary_profile(n: int) -> BinaryProfile:
     if n < 2:
         raise ValueError("the ideal chain starts at n = 2")
-    t = (n + 1).bit_length() - 1
+    t = level(n)
     m = n - (1 << t) + 1
     alpha = tuple((m >> j) & 1 for j in range(t))
     s = tuple(m & ((2 << i) - 1) for i in range(t))

@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Callable, Set
 from typing import NamedTuple
 
-from .groebner import GroebnerBasis, basis_for
+from .groebner import GroebnerBasis, basis_for, level
 from .poly import Monomial, Poly
 
 
@@ -293,7 +293,7 @@ def heights_closed_form(n: int) -> Heights:
     """
     if n < 7:
         raise ValueError("stated for n >= 7")
-    t = (n + 1).bit_length() - 1
+    t = level(n)
     if n <= (1 << t) + (1 << (t - 1)):
         h2 = (1 << t) - 4
     else:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import bounds as bounds_mod
 from .cache import zcl_results
 from .gseries import g_recurrence
-from .groebner import basis_for, binary_profile, buchberger, normal_form, reduce_basis
+from .groebner import basis_for, binary_profile, buchberger, level, normal_form, reduce_basis
 from .poly import W2, W3, ZERO, Poly, deg, lucas_binom_mod2
 from .quotient import QuotientRing, build_quotient, class_nonzero, heights_closed_form
 from .zcl import (
@@ -593,7 +593,7 @@ def suite_quotient(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
 
     def band_classes():
         for n in range(7, top + 1):
-            t = (n + 1).bit_length() - 1
+            t = level(n)
             q = small[n]
             for s in range(1, t - 1):
                 if (2 << t) - (2 << s) + 1 <= n <= (2 << t) - (1 << s):

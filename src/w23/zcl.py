@@ -75,6 +75,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .groebner import level
 from .poly import Monomial, lucas_binom_mod2
 from .quotient import QuotientRing, last_true
 
@@ -306,8 +307,7 @@ def zcl_closed_form(n: int) -> int:
     """The seven-case evaluation of zcl(W_n) for n >= 15."""
     if n < 15:
         raise ValueError("closed form starts at n = 15; below that use SMALL_N_ZCL")
-    t = (n + 1).bit_length() - 1
-    p = 1 << t
+    p = 1 << level(n)
     if n <= p + p // 4:
         return p + p // 2 - 4
     if n == p + p // 4 + 1:

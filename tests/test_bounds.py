@@ -11,10 +11,10 @@ from w23.bounds import (
     exactness_established,
     exceptional_degrees,
     height_z_w2,
-    tc_table_bands,
     tc_table_rows,
 )
 from w23.quotient import build_quotient, heights_closed_form
+from w23 import verify
 from w23.verify import (
     exactness_edge_disagreements,
     failures,
@@ -182,16 +182,33 @@ def test_tc_table_t4():
     ]
 
 
+def _expected_bands(t):
+    """The [n_first, n_last] runs that tile level t, stated by hand: seven
+    fixed runs, then one per s = t-3 down to 1 over
+    2^(t+1) - 2^(s+1) + 1 <= n <= 2^(t+1) - 2^s."""
+    p = 1 << t
+    return [
+        (p - 1, p + (p // 2) // 3 + 1),
+        (p + (p // 2) // 3 + 2, p + p // 4),
+        (p + p // 4 + 1, p + p // 4 + 1),
+        (p + p // 4 + 2, p + p // 2),
+        (p + p // 2 + 1, p + p // 2 + 1),
+        (p + p // 2 + 2, p + p // 2 + p // 8),
+        (p + p // 2 + p // 8 + 1, p + p // 2 + p // 4),
+    ] + [(2 * p - (2 << s) + 1, 2 * p - (1 << s)) for s in range(t - 3, 0, -1)]
+
+
 def test_tc_table_band_structure():
-    for t in range(4, 9):
+    for t in range(4, 13):
         p = 1 << t
-        bands = tc_table_bands(t)
+        rows = tc_table_rows(t)
+        bands = [(row.n_first, row.n_last) for row in rows]
+        assert bands == _expected_bands(t)
         assert len(bands) == 7 + (t - 3)
         assert bands[0][0] == p - 1
         assert bands[-1][1] == 2 * p - 2
         for (_, last), (first, _) in zip(bands, bands[1:]):
             assert first == last + 1
-        rows = tc_table_rows(t)
         assert rows[0].exact and rows[-1].exact
         assert all(not row.exact for row in rows[1:7])
         assert all(row.exact for row in rows[7:])
@@ -209,7 +226,7 @@ def test_tc_table_band_structure():
             assert row.zcl_oriented_lo == row.zcl_wn + 1
             assert row.tc_lower == row.zcl_wn + 2
     with pytest.raises(ValueError):
-        tc_table_bands(3)
+        tc_table_rows(3)
 
 
 def test_tc_table_computed_zcl_matches_closed_form():
@@ -217,9 +234,40 @@ def test_tc_table_computed_zcl_matches_closed_form():
         assert tc_table_rows(t, zcl_fn=_computed_zcl) == tc_table_rows(t)
 
 
-def test_tc_table_rejects_nonconstant_bands():
-    with pytest.raises(RuntimeError):
-        tc_table_rows(4, zcl_fn=lambda n: n)
+def test_tc_table_rows_are_maximal_runs():
+    # a zcl that changes at every n gives one row per n
+    rows = tc_table_rows(4, zcl_fn=lambda n: n)
+    assert [(row.n_first, row.n_last, row.zcl_wn) for row in rows] == [
+        (n, n, n) for n in range(15, 31)
+    ]
+    # a closed form bumped at one n splits its band around that n
+    bumped = tc_table_rows(4, zcl_fn=lambda n: zcl_closed_form(n) + (n == 23))
+    assert [(row.n_first, row.n_last, row.zcl_wn) for row in bumped[3:6]] == [
+        (22, 22, 22),
+        (23, 23, 23),
+        (24, 24, 22),
+    ]
+    assert bumped[:3] + bumped[6:] == tc_table_rows(4)[:3] + tc_table_rows(4)[4:]
+
+
+def test_bounds_suite_reports_a_mismatch_without_raising(monkeypatch):
+    # a searched zcl(W_23) one too high fails both searched-vs-closed-form
+    # checks; the suite still returns every check
+    real = verify.zcl_results
+
+    def off_by_one(ns, *args, **kwargs):
+        results = real(ns, *args, **kwargs)
+        results[23] = results[23]._replace(value=results[23].value + 1)
+        return results
+
+    monkeypatch.setattr(verify, "zcl_results", off_by_one)
+    checks = run_suites(["bounds"], t_max=4)
+    failed = [c.name for c in failures(checks)]
+    assert failed == [
+        "bounds rows agree between searched and closed-form zcl, 15 <= n <= 30",
+        "TC table rows agree between searched and closed-form zcl, t = 4..4",
+    ]
+    assert len(checks) == 11
 
 
 def test_bounds_suite_at_level_3():

@@ -469,9 +469,21 @@ def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
                 with pytest.raises(SystemExit) as err:
                     main(argv)
                 assert err.value.code == 2, (argv, source)
-                line = capsys.readouterr().err.splitlines()[-1]
+                out, stderr = capsys.readouterr()
+                assert out == "" and stderr.startswith(f"usage: w23 {command[0]} "), stderr
+                line = stderr.splitlines()[-1]
+                assert line.startswith(f"w23 {command[0]}: error: "), line
                 assert source in line and repr(str(path)) in line, line
     assert afile.read_text() == ""
+
+
+def test_empty_zcl_range_is_reported_on_its_own_parser(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["zcl-range", "9", "7"])
+    assert err.value.code == 2
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.startswith("usage: w23 zcl-range "), stderr
+    assert stderr.splitlines()[-1] == "w23 zcl-range: error: empty range"
 
 
 def test_table_small_n_golden(capsys):

@@ -14,6 +14,7 @@ from w23.groebner import (
     basis_for,
     binary_profile,
     buchberger,
+    level,
     normal_form,
     reduce_basis,
 )
@@ -78,6 +79,14 @@ def test_profile_invariants_sweep():
     for n in range(2, 260):
         prof = binary_profile(n)
         assert len(prof.alpha) == len(prof.s) == len(prof.l) == prof.t
+
+
+def test_level_brackets_n():
+    for n in range(1, 1100):
+        t = level(n)
+        assert (1 << t) - 1 <= n <= (2 << t) - 2, n
+        if n >= 2:
+            assert binary_profile(n).t == t
 
 
 # ------------------------------------------------------- closed-form bases
