@@ -43,9 +43,7 @@ def main() -> None:
     print("the raw generators, then reduced; F_n is already the reduced basis,")
     print("so the comparison is exact:")
     for n in (3, 6, 7, 21, 30, 64):
-        raw = buchberger(
-            [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)], n=n
-        )
+        raw = buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)])
         same = reduce_basis(raw).polys == basis_for(n).polys
         print(f"  n = {n}: F_n equals the reduced Buchberger basis: {same}")
 

@@ -2,15 +2,17 @@
 
 Each integer floor is the argparse type `_at_least(low)`, and each range,
 `N` or `LO..HI`, is `_range_from(low)`, which reads both ends through it; so
-a value below its floor is a usage error before any command runs. Each
-`cmd_*` gets its own subcommand's parser, reports there a broken rule that
-ties arguments together, computes, and returns a View: one function per
-output format, each run only when its format is asked for, and the exit
-status. `main` hands the view to `_render`, the one place that reads
-`--format`. Each subcommand declares its own flags: csv only where there is
-a table (`basis`, `zcl-range`, each `table`), `--jobs` and `--cache-dir`
-only where they are read. Each table is a subcommand of `table`; `g`,
-`heights` and `tc` take a range, each with its own floor.
+a value below its floor is a usage error before any command runs, and so is
+a `table tc` level above 20 (each level doubles its cost). Each subcommand's
+parser reports its own unrecognized arguments. Each `cmd_*` gets its own
+subcommand's parser, reports there a broken rule that ties arguments
+together, computes, and returns a View: one function per output format,
+each run only when its format is asked for, and the exit status. `main`
+hands the view to `_render`, the one place that reads `--format`. Each
+subcommand declares its own flags: csv only where there is a table
+(`basis`, `zcl-range`, each `table`), `--jobs` and `--cache-dir` only where
+they are read. Each table is a subcommand of `table`; `g`, `heights` and
+`tc` take a range, each with its own floor.
 
 Exit codes: 0 success, 1 verification or cross-check failure, 2 usage error.
 """
@@ -58,20 +60,21 @@ def _render(fmt: str, view: View) -> int:
     return view.status
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: a plain decimal integer >= low."""
+def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type: a plain decimal integer >= low, and <= high if given."""
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
 
     def integer(text: str) -> int:
-        if not (text.isdecimal() and int(text) >= low):
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if not (text.isdecimal() and int(text) >= low and (high is None or int(text) <= high)):
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return int(text)
 
     return integer
 
 
-def _range_from(low: int) -> Callable[[str], tuple[int, int]]:
-    """An argparse type: N or LO..HI, each end read by _at_least(low)."""
-    end = _at_least(low)
+def _range_from(low: int, high: int | None = None) -> Callable[[str], tuple[int, int]]:
+    """An argparse type: N or LO..HI, each end read by _at_least(low, high)."""
+    end = _at_least(low, high)
 
     def span(text: str) -> tuple[int, int]:
         lo_text, dots, hi_text = text.partition("..")
@@ -337,6 +340,17 @@ def cmd_verify(args, parser) -> View:
     )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports leftover arguments on the subcommand that was given them;
+    argparse would hand them up to w23's top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="w23",
@@ -344,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         " H*(G~(n,3); Z/2): Groebner bases, normal forms, heights,"
         " zero-divisor cup-length, and TC lower bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def command(name, func, summary, formats=("text", "json"), under=sub):
         p = under.add_parser(name, help=summary)
@@ -397,15 +411,17 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="reproduce a published table")
     tables = table.add_subparsers(dest="table", required=True)
     command("small-n", _table_small_n, "zcl(W_n) for n = 6..14", with_csv, tables)
-    for name, func, summary, low, hi in (
-        ("g", _table_g, "the series g_r", 0, 26),
-        ("heights", _table_heights, "heights of w2 and w3 in W_n", 7, 62),
-        ("tc", _table_tc, "TC lower bounds of G~(n,3) by level t", 4, 5),
+    # tc stops at level 20: each level doubles its cost (level 20 takes about 1 s)
+    for name, func, summary, low, hi, ceiling in (
+        ("g", _table_g, "the series g_r", 0, 26, None),
+        ("heights", _table_heights, "heights of w2 and w3 in W_n", 7, 62, None),
+        ("tc", _table_tc, "TC lower bounds of G~(n,3) by level t", 4, 5, 20),
     ):
         p = command(name, func, summary, with_csv, tables)
-        range_help = f"N or LO..HI, each end >= {low} (default {low}..{hi})"
+        ends = f">= {low}" if ceiling is None else f"in {low}..{ceiling}"
+        range_help = f"N or LO..HI, each end {ends} (default {low}..{hi})"
         p.add_argument(
-            "range", type=_range_from(low), nargs="?", default=(low, hi), help=range_help
+            "range", type=_range_from(low, ceiling), nargs="?", default=(low, hi), help=range_help
         )
 
     p = command("verify", cmd_verify, "run a verification suite")

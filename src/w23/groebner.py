@@ -14,54 +14,35 @@ because the benchmark tracer wraps groebner.buchberger and
 groebner.normal_form here.  Ideal membership by reduction to zero, which
 only the checks read, is verify.ideal_member.
 
-Everything uses the one fixed monomial order of this package: lex with
-w2 > w3.
+BinaryProfile and GroebnerBasis are plain NamedTuples, each built one way:
+binary_profile checks the digits, and basis_for, buchberger and
+reduce_basis pass in the leading monomials they already hold.  Everything
+uses the one fixed monomial order of this package: lex with w2 > w3.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .gseries import g_recurrence
 from .poly import Monomial, Poly
 
 
-class _ProfileFields(NamedTuple):
-    n: int
-    t: int
-    alpha: tuple
-    s: tuple
-    l: tuple
-
-
-class BinaryProfile(_ProfileFields):
+class BinaryProfile(NamedTuple):
     """The digit data (t, alpha, s, l) attached to n.
 
     alpha holds the binary digits of n - 2^t + 1, s the partial sums
     s_i = sum of alpha_j*2^j for j <= i (with s_{-1} = 0 by convention),
     and l_i = 2^(t-1-i) + sum of alpha_j*2^(j-i-1) for j > i, minus 1.
-    Immutable; every construction checks that the fields agree.
+    binary_profile, its one constructor, checks that the fields agree.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, t: int, alpha: tuple, s: tuple, l: tuple):
-        m = n - (1 << t) + 1
-        if not (
-            len(alpha) == len(s) == len(l) == t
-            and sum(a << j for j, a in enumerate(alpha)) == m
-            and s[t - 1] == m
-            and all(x <= y for x, y in zip(s, s[1:]))
-            and all((n + 1 - s[i]) // 2 - (1 << i) == l[i] << i for i in range(t))
-        ):
-            raise ValueError(f"inconsistent binary profile for n={n}")
-        return super().__new__(cls, n, t, alpha, s, l)
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`; route it through the check too
-        return cls(*iterable)
+    n: int
+    t: int
+    alpha: tuple
+    s: tuple
+    l: tuple
 
     def s_prev(self, i: int) -> int:
         return self.s[i - 1] if i > 0 else 0
@@ -80,40 +61,23 @@ def binary_profile(n: int) -> BinaryProfile:
     alpha = tuple((m >> j) & 1 for j in range(t))
     s = tuple(m & ((2 << i) - 1) for i in range(t))
     l = tuple((1 << (t - 1 - i)) + (m >> (i + 1)) - 1 for i in range(t))
+    if not (
+        len(alpha) == len(s) == len(l) == t
+        and sum(a << j for j, a in enumerate(alpha)) == m
+        and s[t - 1] == m
+        and all(x <= y for x, y in zip(s, s[1:]))
+        and all((n + 1 - s[i]) // 2 - (1 << i) == l[i] << i for i in range(t))
+    ):
+        raise ValueError(f"inconsistent binary profile for n={n}")
     return BinaryProfile(n, t, alpha, s, l)
 
 
-class GroebnerBasis:
-    """An ordered list of basis polynomials with cached leading monomials."""
+class GroebnerBasis(NamedTuple):
+    """Nonzero basis polynomials and their leading monomials, index for
+    index.  Each constructor passes in LMs it holds; nothing recomputes them."""
 
-    __slots__ = ("n", "polys", "lms")
-
-    def __init__(self, polys: Iterable[Poly], n: int | None = None):
-        ps = tuple(p for p in polys if p)
-        if not ps:
-            raise ValueError("empty Groebner basis")
-        object.__setattr__(self, "polys", ps)
-        object.__setattr__(self, "lms", tuple(p.leading_monomial() for p in ps))
-        object.__setattr__(self, "n", n)
-
-    @classmethod
-    def _raw(cls, polys: tuple, lms: tuple, n: int | None = None) -> "GroebnerBasis":
-        """Wrap nonzero polys and their known leading monomials without recomputing."""
-        gb = object.__new__(cls)
-        object.__setattr__(gb, "polys", polys)
-        object.__setattr__(gb, "lms", lms)
-        object.__setattr__(gb, "n", n)
-        return gb
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroebnerBasis is immutable")
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __repr__(self) -> str:
-        tag = f"I_{self.n}" if self.n is not None else "ideal"
-        return f"GroebnerBasis({tag}, {len(self.polys)} polynomials)"
+    polys: tuple
+    lms: tuple
 
 
 def basis_for(n: int) -> GroebnerBasis:
@@ -126,7 +90,7 @@ def basis_for(n: int) -> GroebnerBasis:
     holds it, as a QuotientRing does in `gb`.
     """
     prof = binary_profile(n)
-    polys = []
+    polys, lms = [], []
     for i in range(prof.t):
         e3 = prof.alpha[i] * prof.s_prev(i)
         g = g_recurrence(n - 2 + (1 << i) - prof.s[i])
@@ -135,11 +99,11 @@ def basis_for(n: int) -> GroebnerBasis:
         if f.homogeneous_degree() is None or f.leading_monomial() != lm:
             raise RuntimeError(f"F_{n}: f_{i} is not homogeneous with leading monomial {lm}")
         polys.append(f)
-    gb = GroebnerBasis(polys, n=n)
+        lms.append(lm)
     # the staircase must close off both axes: a pure w2 power and a pure w3 power
-    if gb.lms[0][1] != 0 or gb.lms[-1][0] != 0:
+    if lms[0][1] != 0 or lms[-1][0] != 0:
         raise RuntimeError(f"F_{n}: the leading monomials leave an axis open")
-    return gb
+    return GroebnerBasis(tuple(polys), tuple(lms))
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
@@ -192,7 +156,7 @@ def _spoly(f: Poly, mf: Monomial, g: Poly, mg: Monomial) -> Poly:
     return _shift(f, l[0] - mf[0], l[1] - mf[1]) + _shift(g, l[0] - mg[0], l[1] - mg[1])
 
 
-def buchberger(generators: Sequence[Poly], n: int | None = None) -> GroebnerBasis:
+def buchberger(generators: Sequence[Poly]) -> GroebnerBasis:
     """Buchberger's algorithm with the product and chain criteria (Cox,
     Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sec. 10),
     in normal pair order: S-pairs by degree of the lcm, ties by lex.
@@ -229,7 +193,7 @@ def buchberger(generators: Sequence[Poly], n: int | None = None) -> GroebnerBasi
 
     for j in range(len(basis)):
         push_pairs(j)
-    gb = GroebnerBasis._raw(tuple(basis), tuple(lms))
+    gb = GroebnerBasis(tuple(basis), tuple(lms))
     while pairs:
         _, l, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
@@ -240,8 +204,8 @@ def buchberger(generators: Sequence[Poly], n: int | None = None) -> GroebnerBasi
             basis.append(r)
             lms.append(r.leading_monomial())
             push_pairs(len(basis) - 1)
-            gb = GroebnerBasis._raw(tuple(basis), tuple(lms))
-    return GroebnerBasis._raw(gb.polys, gb.lms, n)
+            gb = GroebnerBasis(tuple(basis), tuple(lms))
+    return gb
 
 
 def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
@@ -257,8 +221,7 @@ def reduce_basis(gb: GroebnerBasis) -> GroebnerBasis:
             polys.append(p)
     # autoreduce tails; LMs are pairwise non-divisible so one pass settles,
     # and each keeps its LM
-    if len(polys) > 1:
-        for i in range(len(polys)):
-            others = GroebnerBasis._raw((*polys[:i], *polys[i + 1 :]), (*lms[:i], *lms[i + 1 :]))
-            polys[i] = normal_form(polys[i], others)
-    return GroebnerBasis._raw(tuple(reversed(polys)), tuple(reversed(lms)), gb.n)
+    for i in range(len(polys)):
+        others = GroebnerBasis((*polys[:i], *polys[i + 1 :]), (*lms[:i], *lms[i + 1 :]))
+        polys[i] = normal_form(polys[i], others)
+    return GroebnerBasis(tuple(reversed(polys)), tuple(reversed(lms)))

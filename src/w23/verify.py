@@ -506,10 +506,7 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
                     f"n={n}",
                     bases[n].polys,
                     reduce_basis(
-                        buchberger(
-                            [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)],
-                            n=n,
-                        )
+                        buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)])
                     ).polys,
                 )
                 for n in range(2, n_max + 1)

@@ -69,9 +69,7 @@ def test_criterion_2_groebner_differential():
                 prof.alpha[i] * prof.s_prev(i) + (1 << i) - 1,
             ), (n, i)
         generic = reduce_basis(
-            buchberger(
-                [g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)], n=n
-            )
+            buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)])
         )
         assert direct.polys == generic.polys, n
     _stamp(2, "closed-form basis = Buchberger basis, LMs exact, n in [2,64]", t0, 30.0)

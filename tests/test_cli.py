@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from w23 import bounds as bounds_module
 from w23 import cache
 from w23 import cli as cli_module
 from w23 import groebner as groebner_module
@@ -607,11 +608,49 @@ def test_usage_errors_exit_2(capsys):
         ["table", "heights", "6..8"],
         ["table", "tc", "3"],
         ["table", "small-n", "1..2"],
+        ["zcl", "6", "--bogus"],
+        ["table", "tc", "4..5", "extra"],
+        ["--bogus", "zcl", "6"],
+        ["table", "tc", "21"],
+        ["table", "tc", "4..21"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
         assert capsys.readouterr().out == "", argv
+
+
+def test_unrecognized_arguments_are_reported_on_the_subcommand(capsys):
+    for argv, command, extra in (
+        (["zcl", "6", "--bogus"], "zcl", "--bogus"),
+        (["table", "tc", "4..5", "extra"], "table tc", "extra"),
+        (["--bogus", "zcl", "6"], None, "--bogus"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+        out, stderr = capsys.readouterr()
+        prog = f"w23 {command}" if command else "w23"
+        assert out == "" and stderr.startswith(f"usage: {prog} "), stderr
+        assert stderr.splitlines()[-1] == f"{prog}: error: unrecognized arguments: {extra}"
+
+
+def test_table_tc_refuses_levels_above_20_before_any_row(capsys, monkeypatch):
+    def no_rows(t, zcl_fn=None):
+        raise AssertionError(f"level {t} computed")
+
+    monkeypatch.setattr(bounds_module, "tc_table_rows", no_rows)
+    for span in ("21", "4..21", "21..22", "99"):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "tc", span])
+        assert err.value.code == 2, span
+        out, stderr = capsys.readouterr()
+        assert out == "" and stderr.startswith("usage: w23 table tc "), stderr
+        assert stderr.splitlines()[-1].startswith("w23 table tc: error: argument range: ")
+    with pytest.raises(SystemExit) as err:
+        main(["table", "tc", "--help"])
+    assert err.value.code == 0
+    assert "each end in 4..20" in " ".join(capsys.readouterr().out.split())
 
 
 def test_table_range_may_follow_format(capsys):

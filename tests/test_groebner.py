@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from w23 import groebner as groebner_module
 from w23.gseries import g_recurrence
 from w23.groebner import (
-    BinaryProfile,
-    GroebnerBasis,
     basis_for,
     binary_profile,
     buchberger,
@@ -42,11 +40,13 @@ def test_profile_n21():
         prof.t = 5
 
 
-def test_profile_rejects_inconsistent_digits():
+def test_profile_rejects_inconsistent_digits(monkeypatch):
+    # binary_profile checks its digits against n: read at one level too low,
+    # the digits of n - 2^t + 1 no longer sum to it
+    level = groebner_module.level
+    monkeypatch.setattr(groebner_module, "level", lambda n: level(n) - 1)
     with pytest.raises(ValueError):
-        BinaryProfile(21, 4, (1, 1, 1, 0), (0, 2, 6, 6), (10, 4, 1, 0))
-    with pytest.raises(ValueError):
-        binary_profile(21)._replace(t=5)
+        binary_profile(21)
 
 
 def test_closed_form_rejects_wrong_generator(monkeypatch):
@@ -75,7 +75,7 @@ def test_profile_rejects_small_n():
 
 
 def test_profile_invariants_sweep():
-    # the dataclass asserts its own arithmetic; just exercise a wide range
+    # binary_profile checks its own arithmetic; just exercise a wide range
     for n in range(2, 260):
         prof = binary_profile(n)
         assert len(prof.alpha) == len(prof.s) == len(prof.l) == prof.t
@@ -364,6 +364,8 @@ def test_buchberger_on_drawn_generators(generators):
         assert not normal_form(p, gb), p
     reduced = reduce_basis(gb)
     assert reduce_basis(reduced).polys == reduced.polys
+    for out in (gb, reduced):  # the LMs passed in are the polys' own
+        assert out.lms == tuple(p.leading_monomial() for p in out.polys)
 
 
 def test_basis_for_n6():
@@ -376,6 +378,14 @@ def test_basis_for_is_already_reduced():
     for n in range(2, 1101):
         gb = basis_for(n)
         assert reduce_basis(gb).polys == gb.polys, n
+
+
+def test_basis_for_lms_are_the_polys_own():
+    # basis_for passes in the LMs it checked against the formula; nothing
+    # recomputes them, so they must be the polynomials' own
+    for n in range(2, 601):
+        gb = basis_for(n)
+        assert gb.lms == tuple(p.leading_monomial() for p in gb.polys), n
 
 
 def test_basis_for_builds_afresh():
@@ -392,6 +402,6 @@ def test_differential_small_range():
     for n in range(2, 33):
         direct = reduce_basis(basis_for(n))
         generic = reduce_basis(
-            buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)], n=n)
+            buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)])
         )
         assert direct.polys == generic.polys, n

@@ -1,5 +1,6 @@
 """Additive bases, normal forms, and heights of the quotient rings."""
 
+import itertools
 import random
 
 import pytest
@@ -172,15 +173,19 @@ def test_tail_rules_are_the_closed_form_rewrite():
 
 def _rectangle_basis(gb):
     """Every cell of the min(pure2) x min(pure3) rectangle that no leading
-    monomial divides: the reference for the staircase walk."""
+    monomial divides: the reference for the staircase walk.  Row b starts
+    all open, and each LM w2^l0*w3^l1 with l0 <= b closes its quadrant,
+    the cells c >= l1."""
     b_end = min(lm[0] for lm in gb.lms if lm[1] == 0)
     c_end = min(lm[1] for lm in gb.lms if lm[0] == 0)
-    return {
-        (b, c)
-        for b in range(b_end)
-        for c in range(c_end)
-        if not any(lm[0] <= b and lm[1] <= c for lm in gb.lms)
-    }
+    cells = set()
+    for b in range(b_end):
+        row = bytearray(b"\x01") * c_end
+        for l0, l1 in gb.lms:
+            if l0 <= b and l1 < c_end:
+                row[l1:] = bytes(c_end - l1)
+        cells.update((b, c) for c in itertools.compress(range(c_end), row))
+    return cells
 
 
 def test_staircase_basis_matches_rectangle_scan():
@@ -299,9 +304,9 @@ def test_ring_rejects_basis_reaching_top_degree():
 
 def test_ring_rejects_unusable_basis():
     with pytest.raises(ValueError):  # not homogeneous
-        QuotientRing(9, GroebnerBasis([Poly({(3, 0), (0, 1)}), Poly({(0, 3)})]))
+        QuotientRing(9, GroebnerBasis((Poly({(3, 0), (0, 1)}), Poly({(0, 3)})), ((3, 0), (0, 3))))
     with pytest.raises(ValueError):  # no pure power of w3 among the leading monomials
-        QuotientRing(9, GroebnerBasis([Poly({(3, 0)}), Poly({(1, 2)})]))
+        QuotientRing(9, GroebnerBasis((Poly({(3, 0)}), Poly({(1, 2)})), ((3, 0), (1, 2))))
 
 
 def test_nf_is_multiplicative_through_reduction():
