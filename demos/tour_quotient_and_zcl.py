@@ -4,7 +4,7 @@ Run with:  python3 demos/tour_quotient_and_zcl.py
 """
 
 from w23.poly import deg
-from w23.quotient import build_quotient
+from w23.quotient import brute_heights, build_quotient
 from w23.verify import graded_piece
 from w23.zcl import zcl_closed_form, zcl_search
 
@@ -21,7 +21,7 @@ def main() -> None:
     print(f"    {' '.join(map(str, counts))}")
     print()
 
-    h2, h3 = q.heights()
+    h2, h3 = brute_heights(q)
     print(f"  heights: w2^{h2} != 0 but w2^{h2 + 1} = 0; w3^{h3} != 0 but w3^{h3 + 1} = 0")
     print()
 

@@ -26,10 +26,10 @@ _EXPORTS = (
     ("gseries", ("g_recurrence",)),
     ("poly", ("ONE", "W2", "W3", "ZERO", "Poly", "lucas_binom_mod2", "poly_text")),
     ("quotient", ("Heights", "QuotientRing", "brute_heights", "build_quotient",
-                  "class_nonzero", "heights_closed_form", "nf_monomial")),
+                  "heights_closed_form")),
     ("verify", ("GradedPiece", "TensorElement", "g_explicit", "graded_piece",
                 "ideal_member", "w3_ideal_member", "z")),
-    ("zcl", ("SMALL_N_ZCL", "ZclResult", "zcl_closed_form", "zcl_search", "zcl_wn",
+    ("zcl", ("SMALL_N_ZCL", "ZclResult", "zcl_closed_form", "zcl_search",
              "zero_divisor_product_nonzero")),
 )
 

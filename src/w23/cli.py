@@ -3,16 +3,16 @@
 Each integer floor is the argparse type `_at_least(low)`, and each range,
 `N` or `LO..HI`, is `_range_from(low)`, which reads both ends through it; so
 a value below its floor is a usage error before any command runs, and so is
-a `table tc` level above 20 (each level doubles its cost). Each subcommand's
-parser reports its own unrecognized arguments. Each `cmd_*` gets its own
-subcommand's parser, reports there a broken rule that ties arguments
-together, computes, and returns a View: one function per output format,
-each run only when its format is asked for, and the exit status. `main`
-hands the view to `_render`, the one place that reads `--format`. Each
-subcommand declares its own flags: csv only where there is a table
-(`basis`, `zcl-range`, each `table`), `--jobs` and `--cache-dir` only where
-they are read. Each table is a subcommand of `table`; `g`, `heights` and
-`tc` take a range, each with its own floor.
+a `table tc` level above 20 or a `verify --t-max` above 11 (each level
+doubles its cost). Each subcommand's parser reports its own unrecognized
+arguments. Each `cmd_*` gets its own subcommand's parser, reports there a
+broken rule that ties arguments together, computes, and returns a View: one
+function per output format, each run only when its format is asked for, and
+the exit status. `main` hands the view to `_render`, the one place that
+reads `--format`. Each subcommand declares its own flags: csv only where
+there is a table (`basis`, `zcl-range`, each `table`), `--jobs` and
+`--cache-dir` only where they are read. Each table is a subcommand of
+`table`; `g`, `heights` and `tc` take a range, each with its own floor.
 
 Exit codes: 0 success, 1 verification or cross-check failure, 2 usage error.
 """
@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 verification or cross-check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from collections.abc import Callable, Iterable
@@ -31,7 +30,7 @@ from . import cache
 from .gseries import g_recurrence
 from .groebner import basis_for, binary_profile
 from .poly import Poly, mono_text, poly_text
-from .quotient import brute_heights, build_quotient, heights_closed_form, nf_monomial
+from .quotient import brute_heights, build_quotient, heights_closed_form
 from .zcl import SMALL_N_ZCL, zcl_closed_form
 
 
@@ -50,6 +49,8 @@ def _render(fmt: str, view: View) -> int:
     if fmt == "json":
         print(json.dumps(view.json(), indent=2))
     elif fmt == "csv":
+        import csv  # only csv output needs it; keeps the other commands' start-up light
+
         header, rows = view.csv()
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -65,7 +66,9 @@ def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
     bound = f">= {low}" if high is None else f"in {low}..{high}"
 
     def integer(text: str) -> int:
-        if not (text.isdecimal() and int(text) >= low and (high is None or int(text) <= high)):
+        # isdecimal alone would take any Unicode digit, such as '٣'
+        plain = text.isascii() and text.isdecimal()
+        if not (plain and int(text) >= low and (high is None or int(text) <= high)):
             raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return int(text)
 
@@ -167,7 +170,7 @@ def cmd_basis(args, parser) -> View:
 
 
 def cmd_nf(args, parser) -> View:
-    p = nf_monomial(build_quotient(args.n), args.b, args.c)
+    p = Poly(build_quotient(args.n).nf_set(args.b, args.c))
     return View(
         json=lambda: {"n": args.n, "b": args.b, "c": args.c, "nf": _poly_json(p)},
         text=lambda: [poly_text(p)],
@@ -426,7 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("suites", nargs="+", choices=SUITE_CHOICES)
-    p.add_argument("--t-max", type=_at_least(3), default=5, help="largest level to cover")
+    # t-max stops at 11: each level doubles the sweep (level 11 takes minutes)
+    p.add_argument(
+        "--t-max", type=_at_least(3, 11), default=5, help="largest level to cover, 3..11"
+    )
     p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     return parser
 

@@ -57,7 +57,7 @@ from collections.abc import Callable, Set
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, basis_for, level
-from .poly import Monomial, Poly
+from .poly import Monomial
 
 
 def last_true(pred: Callable[[int], object], lo: int, hi: int) -> int:
@@ -204,11 +204,6 @@ class QuotientRing:
             bits ^= low
         return frozenset(out)
 
-    def heights(self) -> Heights:
-        """Heights of w2 and w3 (brute_heights).  Not memoized: height(w2)
-        is the memoized top(0), and height(w3) is bisected again each call."""
-        return brute_heights(self)
-
     def top(self, c: int) -> int:
         """The largest b with w2^b*w3^c != 0, or -1 when w3^c = 0.
 
@@ -265,15 +260,6 @@ def build_quotient(n: int) -> QuotientRing:
     if n < 6:
         raise ValueError("quotient rings are built for n >= 6")
     return QuotientRing(n, basis_for(n))
-
-
-def nf_monomial(q: QuotientRing, b: int, c: int) -> Poly:
-    """Normal form of w2^b*w3^c in W_n, as a polynomial supported on B_n."""
-    return Poly._raw(q.nf_set(b, c))
-
-
-def class_nonzero(q: QuotientRing, b: int, c: int) -> bool:
-    return q.nf_bits(b, c) != 0
 
 
 def brute_heights(q: QuotientRing) -> Heights:

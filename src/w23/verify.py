@@ -33,7 +33,7 @@ from .cache import zcl_results
 from .gseries import g_recurrence
 from .groebner import basis_for, binary_profile, buchberger, level, normal_form, reduce_basis
 from .poly import W2, W3, ZERO, Poly, deg, lucas_binom_mod2
-from .quotient import QuotientRing, build_quotient, class_nonzero, heights_closed_form
+from .quotient import QuotientRing, brute_heights, build_quotient, heights_closed_form
 from .zcl import (
     SMALL_N_ZCL,
     Pair,
@@ -556,7 +556,7 @@ def suite_quotient(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
         _scan(
             f"brute-force heights match the closed form, 7 <= n <= {n_max}",
             (
-                (f"n={n}", heights_closed_form(n), ring.heights())
+                (f"n={n}", heights_closed_form(n), brute_heights(ring))
                 for n in range(7, n_max + 1)
                 for ring in [small[n] if n <= top else build_quotient(n)]
             ),
@@ -597,11 +597,7 @@ def suite_quotient(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
                     yield (
                         f"n={n} s={s}",
                         True,
-                        class_nonzero(
-                            q,
-                            (2 << t) - 3 * (1 << s) - 1,
-                            n - (2 << t) + (2 << s) - 1,
-                        ),
+                        q.nf_bits((2 << t) - 3 * (1 << s) - 1, n - (2 << t) + (2 << s) - 1) != 0,
                     )
 
     checks.append(

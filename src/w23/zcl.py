@@ -77,7 +77,7 @@ from typing import NamedTuple
 
 from .groebner import level
 from .poly import Monomial, lucas_binom_mod2
-from .quotient import QuotientRing, last_true
+from .quotient import QuotientRing, brute_heights, last_true
 
 SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
 
@@ -274,7 +274,7 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     degree in scan order, and the lexicographically least surviving pair
     there.  Nothing is cached: each call walks again.
     """
-    h2, h3 = q.heights()
+    h2, h3 = brute_heights(q)
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
     stair = [] if stair is None else stair
@@ -296,11 +296,6 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
     return _witness(q, best[1], best[2])
-
-
-def zcl_wn(q: QuotientRing) -> int:
-    """zcl(W_n), computed exactly by the staircase search."""
-    return zcl_search(q).value
 
 
 def zcl_closed_form(n: int) -> int:

@@ -22,7 +22,7 @@ from w23.groebner import (
 )
 from w23.gseries import g_recurrence
 from w23.poly import W3, Poly, deg
-from w23.quotient import brute_heights, build_quotient, class_nonzero, heights_closed_form
+from w23.quotient import brute_heights, build_quotient, heights_closed_form
 from w23.verify import (
     failures,
     g_explicit,
@@ -36,7 +36,7 @@ from w23.verify import (
     verify_upper_bound_lemmas,
     w3_ideal_member,
 )
-from w23.zcl import SMALL_N_ZCL, zcl_closed_form, zcl_search, zcl_wn
+from w23.zcl import SMALL_N_ZCL, zcl_closed_form, zcl_search
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,10 +85,10 @@ def test_criterion_3_heights():
 def test_criterion_4_zcl_values_and_closed_form():
     t0 = time.perf_counter()
     for n, expected in SMALL_N_ZCL.items():
-        assert zcl_wn(build_quotient(n)) == expected, n
+        assert zcl_search(build_quotient(n)).value == expected, n
     cases_hit = {4: set(), 5: set()}
     for n in range(15, 63):
-        assert zcl_wn(build_quotient(n)) == zcl_closed_form(n), n
+        assert zcl_search(build_quotient(n)).value == zcl_closed_form(n), n
         t = (n + 1).bit_length() - 1
         p = 1 << t
         if n <= p + p // 4:
@@ -146,7 +146,7 @@ def test_criterion_6_proof_witnesses():
 
     def classify(n, r):
         q = build_quotient(n)
-        alive = [m for m in monomials_of_degree(r) if class_nonzero(q, *m)]
+        alive = [m for m in monomials_of_degree(r) if q.nf_bits(*m) != 0]
         return set(alive), {q.nf_set(*m) for m in alive}
 
     for t in (4, 5, 6):
@@ -181,7 +181,7 @@ def test_criterion_7_property_suite():
     t0 = time.perf_counter()
     prev = 0
     for n in range(6, 63):
-        v = zcl_wn(build_quotient(n))
+        v = zcl_search(build_quotient(n)).value
         assert v >= prev, n
         prev = v
 
@@ -205,7 +205,7 @@ def test_criterion_7_property_suite():
 
     for n in (8, 15, 21):
         q = build_quotient(n)
-        h2, h3 = q.heights()
+        h2, h3 = brute_heights(q)
         elt = z(q, W2) ** min(h2, 5) * z(q, W3) ** min(h3, 4)
         assert elt
         assert elt.swap().swap() == elt
@@ -217,9 +217,9 @@ def test_criterion_7_property_suite():
         t = (n + 1).bit_length() - 1
         for s in range(1, t - 1):
             if (2 << t) - (2 << s) + 1 <= n <= (2 << t) - (1 << s):
-                assert class_nonzero(
-                    q, (2 << t) - 3 * (1 << s) - 1, n - (2 << t) + (2 << s) - 1
-                ), (n, s)
+                assert q.nf_bits(
+                    (2 << t) - 3 * (1 << s) - 1, n - (2 << t) + (2 << s) - 1
+                ) != 0, (n, s)
     _stamp(7, "monotonicity, 10^4 reduction checks, symmetry, degree bounds", t0)
 
 
@@ -227,7 +227,7 @@ def test_criterion_8_bounds_layer():
     t0 = time.perf_counter()
     for t in range(4, 11):
         assert not failures(verify_ineq_arithmetic(t)), t
-    computed = {n: zcl_wn(build_quotient(n)) for n in range(15, 63)}
+    computed = {n: zcl_search(build_quotient(n)).value for n in range(15, 63)}
     for t in (4, 5):
         assert tc_table_rows(t, zcl_fn=computed.__getitem__) == tc_table_rows(t)
     for n in range(15, 63):

@@ -21,11 +21,11 @@ from w23.verify import (
     run_suites,
     verify_ineq_arithmetic,
 )
-from w23.zcl import zcl_closed_form, zcl_wn
+from w23.zcl import zcl_closed_form, zcl_search
 
 
 def _computed_zcl(n):
-    return zcl_wn(build_quotient(n))
+    return zcl_search(build_quotient(n)).value
 
 
 def test_exceptional_degrees_examples():

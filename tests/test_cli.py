@@ -613,6 +613,10 @@ def test_usage_errors_exit_2(capsys):
         ["--bogus", "zcl", "6"],
         ["table", "tc", "21"],
         ["table", "tc", "4..21"],
+        ["g", "٣"],
+        ["groebner", "٢١"],
+        ["zcl", "１５"],
+        ["table", "g", "٣..٥"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -651,6 +655,26 @@ def test_table_tc_refuses_levels_above_20_before_any_row(capsys, monkeypatch):
         main(["table", "tc", "--help"])
     assert err.value.code == 0
     assert "each end in 4..20" in " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_refuses_t_max_above_11_before_any_check(capsys, monkeypatch):
+    from w23 import verify
+
+    def no_checks(names, t_max=5, jobs=1):
+        raise AssertionError(f"level {t_max} run")
+
+    monkeypatch.setattr(verify, "run_suites", no_checks)
+    for level in ("12", "40"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "all", "--t-max", level])
+        assert err.value.code == 2, level
+        out, stderr = capsys.readouterr()
+        assert out == "" and stderr.startswith("usage: w23 verify "), stderr
+        assert stderr.splitlines()[-1].startswith("w23 verify: error: argument --t-max: ")
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--help"])
+    assert err.value.code == 0
+    assert "3..11" in capsys.readouterr().out
 
 
 def test_table_range_may_follow_format(capsys):

@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion against src/."""
+"""Smoke tests: every script in demos/, and README's library example, runs
+to completion against src/."""
 
 import os
 import subprocess
@@ -23,3 +24,16 @@ def test_demo_runs(demo):
     )
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
     assert out.stdout
+
+
+def test_readme_library_block_runs():
+    # the one python block of README's "Library use", run as written, so
+    # that it follows the API; its own assert must hold
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "assert " in code
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

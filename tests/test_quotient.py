@@ -16,9 +16,7 @@ from w23.quotient import (
     _tail_rules,
     brute_heights,
     build_quotient,
-    class_nonzero,
     heights_closed_form,
-    nf_monomial,
 )
 
 
@@ -61,11 +59,11 @@ def test_degree_grouping():
 
 def test_nf_examples():
     q21 = build_quotient(21)
-    assert nf_monomial(q21, 9, 2) == Poly({(3, 6)})
-    assert nf_monomial(q21, 12, 0) == Poly({(3, 6)})
+    assert q21.nf_set(9, 2) == {(3, 6)}
+    assert q21.nf_set(12, 0) == {(3, 6)}
     q22 = build_quotient(22)
-    assert not nf_monomial(q22, 12, 1)
-    assert nf_monomial(q22, 3, 6) == Poly({(3, 6)})
+    assert not q22.nf_set(12, 1)
+    assert q22.nf_set(3, 6) == {(3, 6)}
 
 
 def test_nf_fixes_basis():
@@ -77,7 +75,7 @@ def test_nf_fixes_basis():
 
 def test_nf_rejects_negative():
     with pytest.raises(ValueError):
-        nf_monomial(build_quotient(9), -1, 0)
+        build_quotient(9).nf_set(-1, 0)
     # a negative slot would read a row from its end; both must raise before
     # any lookup (one is a would-be reduction, one lies above max_degree)
     q = build_quotient(21)
@@ -93,7 +91,7 @@ def test_fast_path_matches_division():
         gb = basis_for(n)
         for _ in range(120):
             b, c = rng.randrange(2 * n), rng.randrange(n)
-            assert nf_monomial(q, b, c) == normal_form(Poly({(b, c)}), gb), (n, b, c)
+            assert q.nf_set(b, c) == normal_form(Poly({(b, c)}), gb).terms, (n, b, c)
 
 
 def _decoded(bits, d):
@@ -253,7 +251,7 @@ def test_nonzero_staircase_matches_box_scan():
     rng = random.Random(20)
     for n in range(6, 65):
         q = QuotientRing(n, basis_for(n))
-        h2, h3 = q.heights()
+        h2, h3 = brute_heights(q)
         cols = list(range(h3 + 2))
         rng.shuffle(cols)
         top = dict(zip(cols, map(q.top, cols)))
@@ -345,7 +343,7 @@ def test_heights_closed_form_edges():
 def test_heights_brute_vs_closed_small():
     for n in range(7, 41):
         q = build_quotient(n)
-        assert q.heights() == heights_closed_form(n), n
+        assert brute_heights(q) == heights_closed_form(n), n
 
 
 def _linear_heights(q):
@@ -374,20 +372,20 @@ def test_heights_match_closed_form_on_drawn_n(n):
 
 def test_powers_vanish_beyond_height():
     q = build_quotient(15)
-    h2, h3 = q.heights()
+    h2, h3 = brute_heights(q)
     assert q.nf_set(h2, 0) and not q.nf_set(h2 + 1, 0)
     assert q.nf_set(0, h3) and not q.nf_set(0, h3 + 1)
 
 
 def test_class_nonzero_basics():
     q = build_quotient(27)
-    assert class_nonzero(q, 19, 2)
-    assert class_nonzero(q, 0, 0)
+    assert q.nf_bits(19, 2) != 0
+    assert q.nf_bits(0, 0) != 0
     # anything at or above the manifold dimension dies
     n = 27
     for b, c in ((3 * n // 2, 0), (0, n), (n, n)):
         if 2 * b + 3 * c >= 3 * n - 9:
-            assert not class_nonzero(q, b, c)
+            assert q.nf_bits(b, c) == 0
 
 
 def test_nonvanishing_band_classes():
@@ -398,14 +396,14 @@ def test_nonvanishing_band_classes():
         for s in range(1, t - 1):
             if (2 << t) - (2 << s) + 1 <= n <= (2 << t) - (1 << s):
                 q = build_quotient(n)
-                assert class_nonzero(
-                    q, (2 << t) - 3 * (1 << s) - 1, n - (2 << t) + (2 << s) - 1
-                ), (n, s)
+                assert q.nf_bits(
+                    (2 << t) - 3 * (1 << s) - 1, n - (2 << t) + (2 << s) - 1
+                ) != 0, (n, s)
 
 
 def classify(n, r):
     q = build_quotient(n)
-    alive = [m for m in monomials_of_degree(r) if class_nonzero(q, *m)]
+    alive = [m for m in monomials_of_degree(r) if q.nf_bits(*m) != 0]
     forms = {q.nf_set(*m) for m in alive}
     return alive, forms
 

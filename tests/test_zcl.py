@@ -17,7 +17,7 @@ from w23.cache import zcl_results
 from w23.cli import main
 from w23.groebner import basis_for
 from w23.poly import W2, W3, Poly
-from w23.quotient import QuotientRing, build_quotient
+from w23.quotient import QuotientRing, brute_heights, build_quotient
 from w23.verify import (
     TensorElement,
     embed_left,
@@ -39,7 +39,6 @@ from w23.zcl import (
     piece_pairs,
     zcl_closed_form,
     zcl_search,
-    zcl_wn,
     zero_divisor_product_nonzero,
 )
 
@@ -135,7 +134,7 @@ def test_z_height_matches_doubling_rule():
     # height h of the class forces height 2^(bitlength(h))-1 for its z
     for n in (7, 12, 15, 21, 26, 31, 40):
         q = build_quotient(n)
-        h2, h3 = q.heights()
+        h2, h3 = brute_heights(q)
         cap2 = (1 << h2.bit_length()) - 1
         cap3 = (1 << h3.bit_length()) - 1
         assert zero_divisor_product_nonzero(q, cap2, 0)
@@ -146,7 +145,7 @@ def test_z_height_matches_doubling_rule():
 
 def test_small_n_values():
     for n, expect in SMALL_N_ZCL.items():
-        assert zcl_wn(build_quotient(n)) == expect, n
+        assert zcl_search(build_quotient(n)).value == expect, n
 
 
 def test_closed_form_cases():
@@ -162,11 +161,11 @@ def test_closed_form_cases():
 
 def test_search_matches_closed_form():
     for n in range(15, 63):
-        assert zcl_wn(build_quotient(n)) == zcl_closed_form(n), n
+        assert zcl_search(build_quotient(n)).value == zcl_closed_form(n), n
 
 
 def test_monotone_in_n():
-    values = [zcl_wn(build_quotient(n)) for n in range(6, 63)]
+    values = [zcl_search(build_quotient(n)).value for n in range(6, 63)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -186,9 +185,9 @@ def test_no_cell_beats_the_search():
     # every admissible cell one level above the reported maximum vanishes
     for n in (16, 21, 30):
         q = build_quotient(n)
-        h2, h3 = q.heights()
+        h2, h3 = brute_heights(q)
         cap2, cap3 = (1 << h2.bit_length()) - 1, (1 << h3.bit_length()) - 1
-        level = zcl_wn(q) + 1
+        level = zcl_search(q).value + 1
         for beta in range(max(0, level - cap3), cap2 + 1):
             gamma = level - beta
             if 0 <= gamma <= cap3:
@@ -226,7 +225,7 @@ def test_packed_cells_match_tensor_product():
     # the frozenset pieces
     for n in (9, 14, 21, 22):
         q = build_quotient(n)
-        h2, h3 = q.heights()
+        h2, h3 = brute_heights(q)
         z2, z3 = z(q, W2), z(q, W3)
         col = tensor_one(q)
         for gamma in range(_zcap(h3) + 2):
@@ -251,7 +250,7 @@ def test_pruned_cells_match_pieces():
     late = 0  # nonzero cells whose balanced piece is zero
     for n in (*range(6, 41), 100, 127, 200):
         q = build_quotient(n)
-        h2, h3 = q.heights()
+        h2, h3 = brute_heights(q)
         vanishing = set()
         for gamma in range(_zcap(h3) + 1):
             for beta in range(_zcap(h2) + 1):
@@ -275,7 +274,7 @@ def test_pruned_cells_match_pieces():
 def _unpruned_search(q):
     """The staircase walked to every row's exact boundary, cells tested on
     frozenset pieces: the reference for the bounded walk."""
-    h2, h3 = q.heights()
+    h2, h3 = brute_heights(q)
     beta = _zcap(h2)
     best = None
     for gamma in range(_zcap(h3) + 1):
@@ -300,7 +299,7 @@ def test_bounded_walk_matches_unpruned_staircase():
 def _row_by_row_search(q):
     """The bounded walk without the gallop, one cell per row where the
     boundary runs flat: the reference for zcl_search's result."""
-    h2, h3 = q.heights()
+    h2, h3 = brute_heights(q)
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
     best = None
@@ -441,8 +440,8 @@ def test_import_leaves_pool_and_cli_unloaded():
     # `import w23` loads no submodule; the entry point loads what its commands
     # share, but not the bounds (only `w23 bounds` and `table tc` import them)
     # nor the suites and their oracles (only `w23 verify`).  Only a real pool
-    # imports multiprocessing; the package's records are named tuples and its
-    # rational edge is integer
+    # imports multiprocessing, and only csv output imports csv; the package's
+    # records are named tuples and its rational edge is integer
     src = str(Path(zcl_module.__file__).resolve().parents[1])
     cli_modules = ["cache", "cli", "groebner", "gseries", "poly", "quotient", "zcl"]
     for module, loaded in (("w23", []), ("w23.cli", [f"w23.{m}" for m in cli_modules])):
@@ -450,7 +449,7 @@ def test_import_leaves_pool_and_cli_unloaded():
             f"import sys, {module}; "
             "print('multiprocessing' in sys.modules, "
             "sorted(m for m in sys.modules if m.startswith('w23.')), "
-            "[m for m in ('dataclasses', 'inspect', 'fractions') if m in sys.modules])"
+            "[m for m in ('dataclasses', 'inspect', 'fractions', 'csv') if m in sys.modules])"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe],
@@ -467,11 +466,10 @@ PACKAGE_NAMES = [
     "BoundsRow", "GradedPiece", "GroebnerBasis", "Heights", "ONE", "Poly",
     "QuotientRing", "SMALL_N_ZCL", "TcBand", "TensorElement", "W2", "W3", "ZERO",
     "ZclResult", "basis_for", "bounds_row", "brute_heights", "buchberger",
-    "build_quotient", "class_nonzero", "exactness_established", "exceptional_degrees",
-    "g_explicit", "g_recurrence", "graded_piece", "height_z_w2", "heights_closed_form",
-    "ideal_member", "lucas_binom_mod2", "nf_monomial", "normal_form", "poly_text",
-    "reduce_basis", "tc_table_rows", "w3_ideal_member", "z", "zcl_closed_form",
-    "zcl_search", "zcl_wn", "zero_divisor_product_nonzero",
+    "build_quotient", "exactness_established", "exceptional_degrees", "g_explicit",
+    "g_recurrence", "graded_piece", "height_z_w2", "heights_closed_form", "ideal_member",
+    "lucas_binom_mod2", "normal_form", "poly_text", "reduce_basis", "tc_table_rows",
+    "w3_ideal_member", "z", "zcl_closed_form", "zcl_search", "zero_divisor_product_nonzero",
 ]
 
 
@@ -602,7 +600,7 @@ def test_vanishing_runs_down_the_chain(data):
     n = data.draw(st.integers(6, 149), label="n")
     m = data.draw(st.integers(n + 1, 150), label="m")
     qn, qm = build_quotient(n), build_quotient(m)
-    h2, h3 = qn.heights()
+    h2, h3 = brute_heights(qn)
     cells = st.tuples(st.integers(0, _zcap(h2)), st.integers(0, _zcap(h3)))
     for beta, gamma in data.draw(st.lists(cells, min_size=1, max_size=8), label="cells"):
         in_n = zero_divisor_product_nonzero(qn, beta, gamma)
@@ -618,7 +616,7 @@ def test_cell_test_matches_graded_pieces(data):
     # cells drawn within the caps the search walks
     n = data.draw(st.integers(6, 60), label="n")
     q = build_quotient(n)
-    h2, h3 = q.heights()
+    h2, h3 = brute_heights(q)
     cells = st.tuples(st.integers(0, _zcap(h2)), st.integers(0, _zcap(h3)))
     for beta, gamma in data.draw(st.lists(cells, min_size=1, max_size=8), label="cells"):
         pieces = any(
