@@ -6,7 +6,7 @@ Run with:  python3 demos/tour_quotient_and_zcl.py
 from w23.poly import deg
 from w23.quotient import brute_heights, build_quotient
 from w23.verify import graded_piece
-from w23.zcl import zcl_closed_form, zcl_search
+from w23.zcl import witness, zcl_closed_form, zcl_search
 
 
 def main() -> None:
@@ -33,7 +33,8 @@ def main() -> None:
     print(f"  closed form gives {zcl_closed_form(n)}")
     print()
 
-    beta, gamma, r = res.beta, res.gamma, res.r
+    beta, gamma = res.beta, res.gamma
+    r, _ = witness(q, beta, gamma)
     piece = graded_piece(q, beta, gamma, r)
     print(f"The witness survives in left degree {r}: that graded piece of")
     print(f"z(w2)^{beta} * z(w3)^{gamma} is")

@@ -29,7 +29,7 @@ _EXPORTS = (
                   "heights_closed_form")),
     ("verify", ("GradedPiece", "TensorElement", "g_explicit", "graded_piece",
                 "ideal_member", "w3_ideal_member", "z")),
-    ("zcl", ("SMALL_N_ZCL", "ZclResult", "zcl_closed_form", "zcl_search",
+    ("zcl", ("SMALL_N_ZCL", "ZclResult", "witness", "zcl_closed_form", "zcl_search",
              "zero_divisor_product_nonzero")),
 )
 

@@ -1,12 +1,12 @@
 """Stored zcl results, and the one sweep that serves them.
 
 A result is one JSON file, zcl-{n}.json, per n, holding schema_version,
-kind, n, value and witness.  `load` serves an entry only when every field
-checks out and its witness survives in W_n, so a stale, damaged, forged or
-misplaced entry (a copy under another n) is treated as absent and
-recomputed.  The witness certifies only that z(w2)^beta*z(w3)^gamma is
-nonzero, a lower bound: a smaller value stored under the right n, with a
-valid witness, still passes.  Entries are replaced atomically.
+kind, n, value, beta and gamma.  `load` serves an entry only when every
+field checks out and its cell z(w2)^beta*z(w3)^gamma is nonzero in
+W_n (x) W_n, so a stale, damaged, forged or misplaced entry (a copy under
+another n) is treated as absent and recomputed.  That check proves only a
+lower bound: a smaller value stored under the right n, with a nonzero
+cell, still passes.  Entries are replaced atomically.
 
 `zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
 the verify suites.  It searches the n it could not load in decreasing
@@ -30,9 +30,9 @@ from functools import partial
 from pathlib import Path
 
 from .quotient import build_quotient
-from .zcl import ZclResult, piece_pairs, zcl_search
+from .zcl import ZclResult, zcl_search, zero_divisor_product_nonzero
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_VAR = "W23_CACHE_DIR"
 
 
@@ -44,30 +44,20 @@ def resolve_cache_dir(flag: str | None) -> Path | None:
     return Path(env) if env else None
 
 
-def witness_json(res: ZclResult) -> dict:
-    """The witness object, as printed by `w23 zcl --format json` and stored."""
-    (b1, c1), (b2, c2) = res.pair
-    return {"beta": res.beta, "gamma": res.gamma, "r": res.r, "pair": [[b1, c1], [b2, c2]]}
-
-
 def load(cache_dir: Path | None, n: int) -> ZclResult | None:
     """The stored zcl(W_n), or None (recompute) unless every check passes:
     the file is an object of this schema with kind "zcl" and this n, both
-    given as ints (true or 21.0 is refused); its fields are nonnegative ints
-    with value = beta + gamma; the pair's degrees are r and
-    2*beta + 3*gamma - r; both monomials are basis monomials of W_n, which
-    bounds the piece scan by the ring's top degree; and the pair
-    survives in the left-degree-r piece of z(w2)^beta*z(w3)^gamma.  The
-    piece comes from zcl.piece_pairs, the function the search reads its
-    own witness off.
+    given as ints (true or 21.0 is refused); value, beta and gamma are
+    nonnegative ints with value = beta + gamma; and the cell is nonzero,
+    by zcl.zero_divisor_product_nonzero on a fresh W_n.  That test scans
+    no piece above twice the ring's top degree, so a huge stored exponent
+    is refused at once.
     """
     if cache_dir is None:
         return None
     try:
         payload = json.loads((cache_dir / f"zcl-{n}.json").read_text())
-        w = payload["witness"]
-        (b1, c1), (b2, c2) = w["pair"]
-        fields = (payload["value"], w["beta"], w["gamma"], w["r"], b1, c1, b2, c2)
+        fields = (payload["value"], payload["beta"], payload["gamma"])
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     version, kind, stored_n = payload.get("schema_version"), payload.get("kind"), payload.get("n")
@@ -77,18 +67,12 @@ def load(cache_dir: Path | None, n: int) -> ZclResult | None:
         return None
     if not all(type(x) is int and x >= 0 for x in fields):
         return None
-    value, beta, gamma, r = fields[:4]
+    value, beta, gamma = fields
     if value != beta + gamma:
         return None
-    if 2 * b1 + 3 * c1 != r or 2 * b2 + 3 * c2 != 2 * beta + 3 * gamma - r:
+    if not zero_divisor_product_nonzero(build_quotient(n), beta, gamma):
         return None
-    q = build_quotient(n)
-    pair = ((b1, c1), (b2, c2))
-    if not (pair[0] in q.basis and pair[1] in q.basis):
-        return None
-    if pair[1] not in piece_pairs(q, beta, gamma, r).get(pair[0], ()):
-        return None
-    return ZclResult(value, beta, gamma, r, pair)
+    return ZclResult(value, beta, gamma)
 
 
 def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
@@ -100,13 +84,7 @@ def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "zcl",
-        "n": n,
-        "value": res.value,
-        "witness": witness_json(res),
-    }
+    body = {"schema_version": SCHEMA_VERSION, "kind": "zcl", "n": n, **res._asdict()}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".zcl-{n}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -31,7 +31,7 @@ from .gseries import g_recurrence
 from .groebner import basis_for, binary_profile
 from .poly import Poly, mono_text, poly_text
 from .quotient import brute_heights, build_quotient, heights_closed_form
-from .zcl import SMALL_N_ZCL, zcl_closed_form
+from .zcl import SMALL_N_ZCL, witness, zcl_closed_form
 
 
 class View(NamedTuple):
@@ -198,8 +198,11 @@ def cmd_zcl(args, parser) -> View:
         reference = zcl_closed_form(args.n) if args.n >= 15 else SMALL_N_ZCL[args.n]
     failed = args.closed_form_check and reference != res.value
 
+    # the witness is built only where it is printed, on a fresh ring
     def data():
-        payload = {"n": args.n, "zcl": res.value, "witness": cache.witness_json(res)}
+        r, ((b1, c1), (b2, c2)) = witness(build_quotient(args.n), res.beta, res.gamma)
+        w = {"beta": res.beta, "gamma": res.gamma, "r": r, "pair": [[b1, c1], [b2, c2]]}
+        payload = {"n": args.n, "zcl": res.value, "witness": w}
         if args.closed_form_check:
             payload["closed_form"] = reference
             payload["closed_form_agrees"] = reference == res.value
@@ -208,9 +211,9 @@ def cmd_zcl(args, parser) -> View:
     def lines():
         yield f"zcl(W_{args.n}) = {res.value}"
         if args.witness:
-            m1, m2 = res.pair
+            r, (m1, m2) = witness(build_quotient(args.n), res.beta, res.gamma)
             yield (
-                f"witness: beta={res.beta} gamma={res.gamma} r={res.r}"
+                f"witness: beta={res.beta} gamma={res.gamma} r={r}"
                 f" pair={mono_text(m1)} (x) {mono_text(m2)}"
             )
         if failed:
@@ -327,7 +330,8 @@ SUITE_CHOICES = ("all", "g-series", "groebner", "quotient", "zcl", "bounds")
 def cmd_verify(args, parser) -> View:
     from .verify import SUITES, failures, run_suites
 
-    names = list(SUITES) if "all" in args.suites else args.suites
+    # each suite once, in the order named
+    names = list(SUITES) if "all" in args.suites else list(dict.fromkeys(args.suites))
     checks = run_suites(names, t_max=args.t_max, jobs=args.jobs)
     bad = failures(checks)
 

@@ -38,9 +38,10 @@ decodes it arithmetically into a frozenset of basis monomials.
 
 The memo is one list per degree, `_rows[d]`, of d // 6 + 1 slots (None until
 reduced), filled by an explicit-stack depth-first walk over that row's slots:
-only the monomials nf_bits reduced and the basis children it touched are
-filled, never a whole row.  Fills are idempotent (any two computations of a
-slot agree), so readers sharing a ring stay consistent.
+a slot holds the normal form of a monomial nf_bits reduced, never a whole
+row.  A basis monomial's slot stays None: its form, its own bit, is read
+off the staircase each time it is asked for.  Fills are idempotent (any two
+computations of a slot agree), so readers sharing a ring stay consistent.
 
 top(c) reads the other shape of the ring one column at a time: the largest
 b with w2^b*w3^c != 0, or -1 when w3^c = 0.  A divisor of a nonzero
@@ -181,7 +182,7 @@ class QuotientRing:
                 if got is None:
                     cb = 3 * ch + off
                     if cb < nb and (d - 2 * cb) // 3 < bounds[cb]:
-                        got = row[ch] = 1 << ch
+                        got = 1 << ch
                     else:
                         stack.append(ch)
                         continue

@@ -24,10 +24,10 @@ walking c = (c - 1) & gamma and keeping the b = (r - 3c)/2 that are
 submasks of beta.  Each normal form is a QuotientRing.nf_bits int, and the
 piece keeps, per set bit of a left form, the XOR of the right forms paired
 with it; the piece is nonzero iff some row is.  piece_pairs computes one
-piece on sets of monomial pairs: the witness is read off it, and
-cache.load checks a stored witness against it.  The tensor-square
-arithmetic the pieces are checked against, TensorElement, z and
-graded_piece, is read only by the checks, so it lives in verify.
+piece on sets of monomial pairs, and `witness` reads a surviving pair off
+it.  The tensor-square arithmetic the pieces are checked against,
+TensorElement, z and graded_piece, is read only by the checks, so it lives
+in verify.
 
 A cell whose balanced piece is zero prunes the rest of its scan with the
 ring's nonzero staircase (QuotientRing.top, read per column): the nonzero
@@ -50,8 +50,10 @@ doubling distances and a bisection, then resumes one row higher at
 beta - 1.  Each skipped row would have found beta nonzero, a strict
 improvement, so the final cell is the row-by-row walk's.  At W_1408, where
 the staircase is one flat row, that is 10 cells tested instead of 512.
-The walk tracks only the best cell's (value, beta, gamma); the witness, read
-off piece_pairs, is built once, for the final cell.
+The search returns that cell, (value, beta, gamma): the nonzero product is
+the fact the lower bound rests on.  A pair (m1, m2) that survives in it
+only illustrates the fact, so it is built apart, by `witness`, and only
+`w23 zcl` asks for it.
 Exponent caps come from the heights of w2 and w3: an element of height h
 gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
 forces height(z) = 2^(u+1)-1.
@@ -195,8 +197,6 @@ class ZclResult(NamedTuple):
     value: int
     beta: int
     gamma: int
-    r: int
-    pair: Pair
 
 
 def _zcap(h: int) -> int:
@@ -204,13 +204,19 @@ def _zcap(h: int) -> int:
     return (1 << h.bit_length()) - 1
 
 
-def _witness(q: QuotientRing, beta: int, gamma: int) -> ZclResult:
+def witness(q: QuotientRing, beta: int, gamma: int) -> tuple[int, Pair]:
+    """(r, (m1, m2)): a pair of basis monomials that survives in
+    z(w2)^beta*z(w3)^gamma, at the first nonzero left degree r in scan order,
+    the lexicographically least pair there.  Raises ValueError on a negative
+    exponent or a vanishing product."""
+    if beta < 0 or gamma < 0:
+        raise ValueError("exponents must be nonnegative")
     for r in _scan_degrees(q, beta, gamma):
         acc = piece_pairs(q, beta, gamma, r)
         pairs = {(m, mm) for m, ms in acc.items() for mm in ms}
         if pairs:
-            return ZclResult(beta + gamma, beta, gamma, r, min(pairs))
-    raise AssertionError("witness requested for a vanishing product")
+            return r, min(pairs)
+    raise ValueError(f"W_{q.n}: z(w2)^{beta}*z(w3)^{gamma} vanishes, so it has no witness")
 
 
 def _nonzero(q: QuotientRing, beta: int, gamma: int, stair: list[int]) -> bool:
@@ -244,7 +250,8 @@ def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list
 
 
 def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
-    """Branch-and-bound staircase maximum of beta+gamma, with one witness.
+    """Branch-and-bound staircase maximum of beta+gamma: the first maximal
+    nonzero cell, as ZclResult(value, beta, gamma).
 
     Walks gamma upward.  Vanishing is upward-closed, so the boundary can only
     move left and each row descends from the previous row's beta.  A row
@@ -268,11 +275,10 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     none the call seeds its own, which answers none of its cells.  A
     staircase is sound only for rings of n no larger than every ring it was
     learned on (see the module docstring).  Its answers are the scan's, so
-    the walk, the result and the witness are unchanged.
+    the walk and the result are unchanged.
 
-    The witness is built once, for the final cell: its first nonzero left
-    degree in scan order, and the lexicographically least surviving pair
-    there.  Nothing is cached: each call walks again.
+    No witness is built: `witness(q, result.beta, result.gamma)` gives one.
+    Nothing is cached: each call walks again.
     """
     h2, h3 = brute_heights(q)
     gamma_cap = _zcap(h3)
@@ -295,7 +301,7 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
         gamma += 1
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
-    return _witness(q, best[1], best[2])
+    return ZclResult(*best)
 
 
 def zcl_closed_form(n: int) -> int:

@@ -4,7 +4,6 @@ import argparse
 import ast
 import csv
 import io
-import itertools
 import json
 import subprocess
 import sys
@@ -19,6 +18,7 @@ from w23 import bounds as bounds_module
 from w23 import cache
 from w23 import cli as cli_module
 from w23 import groebner as groebner_module
+from w23 import zcl as zcl_module
 from w23.bounds import tc_table_rows
 from w23.cli import main
 from w23.groebner import basis_for, binary_profile, buchberger, reduce_basis
@@ -26,7 +26,13 @@ from w23.gseries import g_recurrence
 from w23.poly import W2, W3, Poly
 from w23.quotient import build_quotient
 from w23.verify import z
-from w23.zcl import SMALL_N_ZCL, ZclResult, zcl_search
+from w23.zcl import (
+    SMALL_N_ZCL,
+    ZclResult,
+    zcl_closed_form,
+    zcl_search,
+    zero_divisor_product_nonzero,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,10 +248,9 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     assert out == "zcl(W_7) = 7\n"
     assert json.loads(entry.read_text()) == good
 
-    # a consistent but wrong entry fails the piece check on the ring: in W_7
-    # z(w2)^8 = 0, so w2*w3^2 (x) w2^4 cannot survive; recomputed and rewritten
-    wrong = {"beta": 8, "gamma": 0, "r": 8, "pair": [[1, 2], [4, 0]]}
-    entry.write_text(json.dumps(dict(good, value=8, witness=wrong)))
+    # a consistent but wrong entry fails the cell check on the ring: in W_7
+    # z(w2)^8 = 0; recomputed and rewritten
+    entry.write_text(json.dumps(dict(good, value=8, beta=8, gamma=0)))
     _, out = run(capsys, "zcl", "7", "--closed-form-check", "--cache-dir", str(cache_dir))
     assert out == "zcl(W_7) = 7\nclosed-form check: ok (7)\n"
     assert json.loads(entry.read_text()) == good
@@ -257,6 +262,73 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "zcl_search", no_search)
     _, out = run(capsys, "zcl", "7", "--witness", "--cache-dir", str(cache_dir))
     assert out.startswith("zcl(W_7) = 7\nwitness: beta=7 gamma=0 r=8 ")
+
+
+def test_schema_1_entry_is_recomputed_and_rewritten(capsys, tmp_path):
+    # an entry in the old layout, the cell nested in a witness with its
+    # pair, is refused and replaced by one of this schema
+    old = {
+        "schema_version": 1,
+        "kind": "zcl",
+        "n": 21,
+        "value": 21,
+        "witness": {"beta": 15, "gamma": 6, "r": 24, "pair": [[3, 6], [6, 4]]},
+    }
+    entry = tmp_path / "zcl-21.json"
+    entry.write_text(json.dumps(old))
+    assert cache.load(tmp_path, 21) is None
+    _, out = run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
+    assert out == "zcl(W_21) = 21\n"
+    assert json.loads(entry.read_text()) == {
+        "schema_version": 2, "kind": "zcl", "n": 21, "value": 21, "beta": 15, "gamma": 6,
+    }
+
+
+def _forbid_witness(monkeypatch):
+    """Make every way to build a witness raise: the name cli calls, the one
+    zcl defines, and the graded pieces it is read off."""
+
+    def no_witness(*args):
+        raise AssertionError("a witness was built")
+
+    for module, name in (
+        (cli_module, "witness"),
+        (zcl_module, "witness"),
+        (zcl_module, "piece_pairs"),
+    ):
+        monkeypatch.setattr(module, name, no_witness)
+
+
+def test_sweeps_build_no_witness(capsys, tmp_path, monkeypatch):
+    expected = {**SMALL_N_ZCL, **{n: zcl_closed_form(n) for n in range(15, 41)}}
+    _forbid_witness(monkeypatch)
+    # a search, a search that stores, and the stored entries served
+    cache_dir = ["--cache-dir", str(tmp_path)]
+    for extra in ([], cache_dir, cache_dir):
+        code, out = run(capsys, "zcl-range", "6", "40", "--format", "json", *extra)
+        assert code == 0
+        assert {row["n"]: row["zcl"] for row in json.loads(out)} == expected
+    code, out = run(capsys, "verify", "zcl", "--t-max", "5")
+    assert code == 0 and "0 failures" in out
+
+
+def test_zcl_builds_a_witness_only_to_print_it(capsys, monkeypatch):
+    built = []
+
+    def counted(q, beta, gamma):
+        built.append((q.n, beta, gamma))
+        return zcl_module.witness(q, beta, gamma)
+
+    monkeypatch.setattr(cli_module, "witness", counted)
+    assert run(capsys, "zcl", "21") == (0, "zcl(W_21) = 21\n")
+    assert run(capsys, "zcl", "21", "--closed-form-check")[0] == 0
+    assert built == []
+    code, out = run(capsys, "zcl", "21", "--format", "json")
+    assert code == 0 and json.loads(out)["witness"]["r"] == 24
+    assert built == [(21, 15, 6)]
+    built.clear()
+    code, out = run(capsys, "zcl", "21", "--witness")
+    assert code == 0 and built == [(21, 15, 6)]
 
 
 def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
@@ -277,31 +349,31 @@ def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
     )
 
 
-def _zcl7_payload(**witness):
-    w = {"beta": 7, "gamma": 0, "r": 8, "pair": [[1, 2], [0, 2]]}
-    w.update(witness)
-    header = {"schema_version": cache.SCHEMA_VERSION, "kind": "zcl", "n": 7}
-    return dict(header, value=7, witness=w)
+def _zcl7_payload(**cell):
+    entry = {"schema_version": cache.SCHEMA_VERSION, "kind": "zcl", "n": 7}
+    return {**entry, "value": 7, "beta": 7, "gamma": 0, **cell}
 
 
 def test_cached_zcl_is_checked_before_use(capsys, tmp_path):
     entry = tmp_path / "zcl-7.json"
     entry.write_text(json.dumps(_zcl7_payload()))
-    assert cache.load(tmp_path, 7) == ZclResult(7, 7, 0, 8, ((1, 2), (0, 2)))
+    assert cache.load(tmp_path, 7) == ZclResult(7, 7, 0)
+    without = {k: v for k, v in _zcl7_payload().items() if k not in ("beta", "gamma")}
     bad = [
         None,
         dict(_zcl7_payload(), n=8),  # stored under another n
         dict(_zcl7_payload(), kind="zcl-range"),  # another kind of entry
-        {k: v for k, v in _zcl7_payload().items() if k != "witness"},  # no witness
+        without,  # no cell
+        {k: v for k, v in _zcl7_payload().items() if k != "gamma"},  # no gamma
+        dict(without, witness={"beta": 7, "gamma": 0}),  # the cell nested elsewhere
         dict(_zcl7_payload(), value=999),  # value != beta + gamma
-        dict(_zcl7_payload(), witness={"beta": 7, "gamma": 0, "pair": [[1, 2], [0, 2]]}),  # no r
         _zcl7_payload(beta="7"),  # not an int
-        _zcl7_payload(beta=True),  # not an int
-        _zcl7_payload(beta=10, gamma=-3, pair=[[1, 2], [0, 1]]),  # negative
-        _zcl7_payload(r=6),  # left degree 8 != r
-        _zcl7_payload(pair=[[1, 2], [0, 3]]),  # right degree != 14 - r
-        _zcl7_payload(pair=[[1, 2]]),  # not a pair
-        _zcl7_payload(pair="xy"),
+        _zcl7_payload(value=1, beta=True),  # not an int, though 1 == True + 0
+        _zcl7_payload(value=7.0),  # not an int, though 7.0 == 7
+        _zcl7_payload(beta=[7]),  # not an int
+        _zcl7_payload(beta=10, gamma=-3),  # negative
+        _zcl7_payload(value=8, beta=8),  # consistent, but z(w2)^8 = 0 in W_7
+        _zcl7_payload(value=8, gamma=1),  # consistent, but above zcl(W_7) = 7
     ]
     nested = "[" * 1000 + "]" * 1000  # json.loads raises RecursionError
     for text in [json.dumps(payload) for payload in bad] + [nested]:
@@ -320,45 +392,45 @@ def test_header_fields_must_be_ints(capsys, tmp_path):
     entry = tmp_path / "zcl-21.json"
     stored = json.loads(entry.read_text())
     assert cache.load(tmp_path, 21).value == 21
-    for field, value in (("schema_version", True), ("schema_version", 1.0), ("n", 21.0)):
+    version = float(cache.SCHEMA_VERSION)
+    for field, value in (("schema_version", True), ("schema_version", version), ("n", 21.0)):
         entry.write_text(json.dumps(dict(stored, **{field: value})))
         assert cache.load(tmp_path, 21) is None, (field, value)
 
 
 def test_copied_entry_is_recomputed(capsys, tmp_path):
-    # the copied witness also survives in W_22, so only the stored n gives it away
+    # the copied cell is also nonzero in W_22, so only the stored n gives it away
     run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
-    (tmp_path / "zcl-22.json").write_text((tmp_path / "zcl-21.json").read_text())
+    copied = json.loads((tmp_path / "zcl-21.json").read_text())
+    assert zero_divisor_product_nonzero(build_quotient(22), copied["beta"], copied["gamma"])
+    (tmp_path / "zcl-22.json").write_text(json.dumps(copied))
     _, out = run(capsys, "zcl", "22", "--cache-dir", str(tmp_path))
     assert out == "zcl(W_22) = 22\n"
     stored = json.loads((tmp_path / "zcl-22.json").read_text())
     assert (stored["n"], stored["value"]) == (22, 22)
 
 
-def test_forged_witness_is_rejected_before_any_piece_scan(capsys, tmp_path, monkeypatch):
-    # self-consistent fields, but w3^gamma is no basis monomial of W_21; a
-    # piece scan from gamma = 10**12 would never finish
+def test_forged_cell_is_rejected_before_any_piece_scan(capsys, tmp_path, monkeypatch):
+    # self-consistent fields, but the cell's degree 3*gamma is far above
+    # twice the top degree of W_21, so no piece is scanned at all; a scan of
+    # the submasks of gamma = 10**12 would never finish
     gamma = 10**12
-    forged = {"beta": 0, "gamma": gamma, "r": 3 * gamma, "pair": [[0, gamma], [0, 0]]}
-    payload = dict(_zcl7_payload(), n=21, value=gamma, witness=forged)
+    payload = dict(_zcl7_payload(), n=21, value=gamma, beta=0, gamma=gamma)
     (tmp_path / "zcl-21.json").write_text(json.dumps(payload))
 
     def no_scan(*args):
         raise AssertionError("a graded piece was scanned")
 
-    monkeypatch.setattr(cache, "piece_pairs", no_scan)
+    monkeypatch.setattr(zcl_module, "_piece_nonzero", no_scan)
     assert cache.load(tmp_path, 21) is None
+    monkeypatch.undo()  # the recomputation scans pieces
     _, out = run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
     assert out == "zcl(W_21) = 21\n"
 
 
-# paths into a stored entry: every field that can go, and every int field
-_FIELDS = [("schema_version",), ("kind",), ("n",), ("value",), ("witness",)] + [
-    ("witness", key) for key in ("beta", "gamma", "r", "pair")
-]
-_INT_FIELDS = [("schema_version",), ("n",), ("value",)] + [
-    ("witness", key) for key in ("beta", "gamma", "r")
-] + [("witness", "pair", i, j) for i in (0, 1) for j in (0, 1)]
+# the fields of a stored entry: every field that can go, and every int field
+_FIELDS = ["schema_version", "kind", "n", "value", "beta", "gamma"]
+_INT_FIELDS = ["schema_version", "n", "value", "beta", "gamma"]
 _MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(_FIELDS)),
     st.tuples(
@@ -395,39 +467,40 @@ def test_load_serves_a_mutated_entry_only_as_searched(searched_6_40, n, mutation
             entry_file.rename(cache_dir / f"zcl-{target}.json")
         else:
             entry = json.loads(entry_file.read_text())
-            (*parents, last), arg = args[0], args[-1]
-            holder = entry
-            for key in parents:
-                holder = holder[key]
+            key, arg = args[0], args[-1]
             if kind == "drop":
-                del holder[last]
+                del entry[key]
             elif kind == "retype":
-                holder[last] = arg(holder[last])
+                entry[key] = arg(entry[key])
             elif kind == "shift":
-                holder[last] += arg
+                entry[key] += arg
             else:
-                holder[last] = arg
+                entry[key] = arg
             entry_file.write_text(json.dumps(entry))
         assert cache.load(cache_dir, target) in (None, searched_6_40[target])
 
 
-def test_load_accepts_exactly_the_surviving_pairs(searched_6_40, tmp_path):
-    # of the basis pairs in the witness's two degrees, load serves exactly
-    # those that survive in z(w2)^beta*z(w3)^gamma, taken from the full
-    # product in the tensor-square oracle
-    refused = 0
+def test_load_serves_exactly_the_surviving_cells(searched_6_40, tmp_path):
+    # of the searched cell and its two neighbours one step up, load serves
+    # exactly those whose product z(w2)^beta*z(w3)^gamma survives, taken
+    # from the full product in the tensor-square oracle
+    served_count = refused = 0
     for n, res in searched_6_40.items():
         q = build_quotient(n)
-        product = (z(q, W2) ** res.beta * z(q, W3) ** res.gamma).pairs
-        degrees = q.by_degree()
-        lefts = degrees.get(res.r, [])
-        rights = degrees.get(2 * res.beta + 3 * res.gamma - res.r, [])
-        for pair in itertools.product(lefts, rights):
-            cache.store(tmp_path, n, res._replace(pair=pair))
+        z2, z3 = z(q, W2), z(q, W3)
+        product = z2**res.beta * z3**res.gamma
+        for cell, element in (
+            ((res.beta, res.gamma), product),
+            ((res.beta + 1, res.gamma), product * z2),
+            ((res.beta, res.gamma + 1), product * z3),
+        ):
+            stored = ZclResult(sum(cell), *cell)
+            cache.store(tmp_path, n, stored)
             served = cache.load(tmp_path, n)
-            assert served == (res._replace(pair=pair) if pair in product else None), (n, pair)
+            assert served == (stored if element else None), (n, cell)
+            served_count += served is not None
             refused += served is None
-    assert refused > 0
+    assert served_count >= len(searched_6_40) and refused > 0
 
 
 def test_cache_store_is_atomic(tmp_path):
@@ -554,6 +627,17 @@ def test_verify_t_max_3_exits_0(capsys):
         code, out = run(capsys, "verify", suite, "--t-max", "3")
         assert code == 0, suite
         assert "0 failures" in out and "15 <= n <= 14" not in out, suite
+
+
+def test_verify_runs_each_named_suite_once_in_order(capsys):
+    _, once = run(capsys, "verify", "g-series", "--t-max", "3")
+    assert once.endswith("\n34 checks, 0 failures\n")
+    code, twice = run(capsys, "verify", "g-series", "g-series", "--t-max", "3")
+    assert code == 0 and twice == once
+    _, ordered = run(capsys, "verify", "quotient", "g-series", "--t-max", "3")
+    code, out = run(capsys, "verify", "quotient", "g-series", "quotient", "--t-max", "3")
+    assert code == 0 and out == ordered
+    assert ordered.splitlines()[0] != once.splitlines()[0]  # quotient's checks come first
 
 
 def test_suite_choices_name_every_suite():

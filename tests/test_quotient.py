@@ -224,8 +224,8 @@ def _filled_slots(q):
 
 
 def test_ring_stays_lazy_through_a_search():
-    # the row slots filled hold only what the walk and the witness reduced,
-    # far below dim(W_1408); the rows allocated stay below dim
+    # the row slots filled hold only what the walk reduced, far below
+    # dim(W_1408); the rows allocated stay below dim
     q = QuotientRing(1408, basis_for(1408))
     assert _filled_slots(q) == 0
     zcl.zcl_search(q)
@@ -273,8 +273,9 @@ def test_nonzero_staircase_matches_box_scan():
 def test_edge_search_reads_few_columns():
     # at W_1408 the walk's vanishing cells need at most two columns of the
     # nonzero staircase, not all h3 + 1 = 512; and the heights bisect no
-    # powers of w2 beyond those top(0) reads, so the search fills 1,264
-    # memo slots (2,032 when height(w2) had its own bisection)
+    # powers of w2 beyond those top(0) reads, so the search fills 1,057
+    # memo slots (1,264 when a basis monomial's slot held its own bit, and
+    # 2,032 when height(w2) had its own bisection)
     q = QuotientRing(1408, basis_for(1408))
     zcl.zcl_search(q)
     assert 0 < len(q._top) <= 2

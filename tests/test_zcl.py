@@ -34,9 +34,9 @@ from w23.zcl import (
     SMALL_N_ZCL,
     ZclResult,
     _scan_degrees,
-    _witness,
     _zcap,
     piece_pairs,
+    witness,
     zcl_closed_form,
     zcl_search,
     zero_divisor_product_nonzero,
@@ -170,15 +170,33 @@ def test_monotone_in_n():
 
 
 def test_witness_structure():
-    res = zcl_search(build_quotient(21))
-    assert res == ZclResult(21, 15, 6, 24, ((3, 6), (6, 4)))
+    q21 = build_quotient(21)
+    res = zcl_search(q21)
+    assert res == ZclResult(21, 15, 6)
+    assert witness(q21, res.beta, res.gamma) == (24, ((3, 6), (6, 4)))
     q30 = build_quotient(30)
     res = zcl_search(q30)
     assert res.value == 42 and res.beta + res.gamma == 42
     assert zero_divisor_product_nonzero(q30, res.beta, res.gamma)
-    assert res.pair[0] in q30.basis and res.pair[1] in q30.basis
-    piece = graded_piece(q30, res.beta, res.gamma, res.r).element
-    assert res.pair in piece.pairs
+    r, pair = witness(q30, res.beta, res.gamma)
+    assert pair[0] in q30.basis and pair[1] in q30.basis
+    piece = graded_piece(q30, res.beta, res.gamma, r).element
+    assert pair in piece.pairs
+
+
+def test_witness_refuses_a_vanishing_cell():
+    # z(w2)^8 = 0 in W_7: a vanishing product has no surviving pair
+    q = build_quotient(7)
+    assert not zero_divisor_product_nonzero(q, 8, 0)
+    with pytest.raises(ValueError, match="vanishes"):
+        witness(q, 8, 0)
+
+
+def test_witness_refuses_a_negative_exponent():
+    q = build_quotient(7)
+    for beta, gamma in ((-1, 0), (0, -1), (10, -3)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            witness(q, beta, gamma)
 
 
 def test_no_cell_beats_the_search():
@@ -286,7 +304,7 @@ def _unpruned_search(q):
         if beta < 0:
             break
         if best is None or beta + gamma > best.value:
-            best = _witness(q, beta, gamma)
+            best = ZclResult(beta + gamma, beta, gamma)
     return best
 
 
@@ -311,7 +329,7 @@ def _row_by_row_search(q):
             best = (beta + gamma, beta, gamma)
         if best is None or beta < 0 or best[0] >= beta + gamma_cap:
             break
-    return _witness(q, best[1], best[2])
+    return ZclResult(*best)
 
 
 def test_galloping_walk_matches_row_by_row_walk():
@@ -343,21 +361,17 @@ def test_search_raises_when_the_unit_cell_vanishes(monkeypatch):
         zcl_search(QuotientRing(9, basis_for(9)))
 
 
-def test_search_builds_one_witness(monkeypatch):
-    calls = []
+def test_search_builds_no_witness(monkeypatch):
+    # the search returns its cell; the witness, read off piece_pairs, is
+    # built only when asked for
+    def no_witness(*args):
+        raise AssertionError("a witness was built")
 
-    def counted(q, beta, gamma):
-        calls.append((q.n, beta, gamma))
-        return _witness(q, beta, gamma)
-
-    monkeypatch.setattr(zcl_module, "_witness", counted)
+    monkeypatch.setattr(zcl_module, "witness", no_witness)
+    monkeypatch.setattr(zcl_module, "piece_pairs", no_witness)
     for n in (21, 440, 1408):
-        calls.clear()
-        q = QuotientRing(n, basis_for(n))
-        res = zcl_search(q)
-        assert calls == [(n, res.beta, res.gamma)], n
-        assert zcl_search(q) == res  # a second search builds a second witness
-        assert calls == [(n, res.beta, res.gamma)] * 2, n
+        res = zcl_search(QuotientRing(n, basis_for(n)))
+        assert res == ZclResult(zcl_closed_form(n), res.beta, res.gamma), n
 
 
 class _RecordingContext:
@@ -469,7 +483,8 @@ PACKAGE_NAMES = [
     "build_quotient", "exactness_established", "exceptional_degrees", "g_explicit",
     "g_recurrence", "graded_piece", "height_z_w2", "heights_closed_form", "ideal_member",
     "lucas_binom_mod2", "normal_form", "poly_text", "reduce_basis", "tc_table_rows",
-    "w3_ideal_member", "z", "zcl_closed_form", "zcl_search", "zero_divisor_product_nonzero",
+    "w3_ideal_member", "witness", "z", "zcl_closed_form", "zcl_search",
+    "zero_divisor_product_nonzero",
 ]
 
 
