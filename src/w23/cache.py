@@ -122,6 +122,10 @@ def zcl_results(
     at once, clamped to the CPU count and to the number of missing n; with
     one worker or none the sweep runs in this process and spawns nothing.
     With no cache_dir every n is searched and nothing is kept.
+
+    Two or more workers form a `spawn` pool, which re-imports the calling
+    script: call this under `if __name__ == "__main__":`, or each worker dies
+    starting up, the pool replaces it, and the call never returns.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")

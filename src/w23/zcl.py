@@ -32,12 +32,13 @@ in verify.
 A cell whose balanced piece is zero prunes the rest of its scan with the
 ring's nonzero staircase (QuotientRing.top, read per column): the nonzero
 monomials are closed under division, so a term survives only for the b
-between max(0, beta - top(gamma-c)) and min(beta, top(c)), and the scan
-stops at the largest left degree a surviving term reaches.  The terms it
-skips are the ones the full scan drops after a zero normal form, so every
-answer is unchanged.  The prune waits for a zero balanced piece: most cells
-near the staircase edge end at that piece, and pruning them first cost
-more than it saved.
+between max(0, beta - top(gamma-c)) and min(beta, top(c)), and each such
+term above the balanced degree is read once, grouped by its left degree;
+the groups are summed in ascending degree.  The terms it skips are the
+ones the full scan drops after a zero normal form, so every answer is
+unchanged.  The prune waits for a zero balanced piece: most cells near the
+staircase edge end at that piece, and pruning them first cost more than
+it saved.
 
 The (beta, gamma) search walks a staircase instead of the full grid:
 multiplying a zero element by further zero divisors keeps it zero, so
@@ -120,21 +121,15 @@ def _scan_degrees(q: QuotientRing, beta: int, gamma: int):
     return range(lo, min(total, q.max_degree) + 1)
 
 
-def _piece_nonzero(nf_bits, beta: int, gamma: int, r: int, spans: list) -> bool:
-    """Whether the left-degree-r piece is nonzero, summing the terms
-    nf(b, c) (x) nf(beta-b, gamma-c) over the spans (c, lo, hi), lo <= b <= hi.
+def _piece_nonzero(nf_bits, beta: int, gamma: int, terms: list) -> bool:
+    """Whether the sum of nf(b, c) (x) nf(beta-b, gamma-c) over the (b, c)
+    terms, one piece's, is nonzero.
 
     The piece is held as packed rows: for every left basis monomial (a set
     bit of some nf_bits), the XOR of the right-hand bitmasks paired with it.
     """
     rows: dict[int, int] = {}  # left bit -> XOR of its right bitmasks
-    for c, lo, hi in spans:
-        rem = r - 3 * c
-        if rem & 1:
-            continue
-        b = rem >> 1
-        if b < lo or b > hi or b & ~beta:  # out of the span, or C(beta, b) even
-            continue
+    for b, c in terms:
         left = nf_bits(b, c)
         if not left:
             continue
@@ -151,14 +146,14 @@ def _piece_nonzero(nf_bits, beta: int, gamma: int, r: int, spans: list) -> bool:
 def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool:
     """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n.
 
-    The balanced piece is scanned over every submask c of gamma.  Only if it
-    is zero is the rest of the scan narrowed by the ring's nonzero staircase:
-    w2^b*w3^c != 0 iff b <= q.top(c), so a term has both factors nonzero iff
-    max(0, beta - top(gamma-c)) <= b <= min(beta, top(c)).  Only the columns
-    these spans use are read, and top(gamma-c) only where top(c) leaves a span.
-    This is exact: the terms dropped are those the full scan discards after
-    a zero nf_bits, and no piece above the largest left degree a kept term
-    reaches has a term at all.  Deferring the narrowing keeps its set-up off
+    The balanced piece, of left degree r0, sums its Lucas terms: each submask
+    c of gamma with b = (r0 - 3c)/2 a submask of beta.  Only if it is zero is
+    the nonzero staircase read: w2^b*w3^c != 0 iff b <= q.top(c), so a term
+    has both factors nonzero iff max(0, beta - top(gamma-c)) <= b <= min(beta,
+    top(c)); top(gamma-c) is read only where top(c) >= 0.  Each such term of
+    left degree above r0 is kept once, under that degree, and the pieces are
+    summed in ascending degree.  Exact: the terms dropped are those the full
+    scan discards after a zero nf_bits.  Deferring the staircase keeps it off
     the cells whose balanced piece is nonzero, most cells near the edge.
     """
     if beta < 0 or gamma < 0:
@@ -166,31 +161,30 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
     degrees = _scan_degrees(q, beta, gamma)
     if not degrees:
         return False
+    r0 = degrees[0]
     nf_bits = q.nf_bits
-    cs = []  # the c with C(gamma, c) odd: the submasks of gamma
+    cs, balanced = [], []  # cs: the c with C(gamma, c) odd, the submasks of gamma
     c = gamma
     while True:
         cs.append(c)
+        rem = r0 - 3 * c
+        if not rem & 1 and not (rem >> 1) & ~beta:  # C(beta, b) odd; fails for b < 0
+            balanced.append((rem >> 1, c))
         if not c:
             break
         c = (c - 1) & gamma
-    if _piece_nonzero(nf_bits, beta, gamma, degrees[0], [(c, 0, beta) for c in cs]):
+    if _piece_nonzero(nf_bits, beta, gamma, balanced):
         return True
     top = q.top
-    spans = []
+    pieces: dict[int, list] = {}  # left degree above r0 -> its kept terms, in cs order
     for c in cs:
         hi = min(beta, top(c))
         if hi >= 0:
-            lo = max(0, beta - top(gamma - c))
-            if lo <= hi:
-                spans.append((c, lo, hi))
-    if not spans:
-        return False
-    r_hi = min(degrees[-1], max(2 * hi + 3 * c for c, _, hi in spans))
-    for r in range(degrees[0] + 1, r_hi + 1):
-        if _piece_nonzero(nf_bits, beta, gamma, r, spans):
-            return True
-    return False
+            lo = max(0, beta - top(gamma - c), (r0 - 3 * c) // 2 + 1)
+            for b in range(lo, hi + 1):
+                if not b & ~beta:
+                    pieces.setdefault(2 * b + 3 * c, []).append((b, c))
+    return any(_piece_nonzero(nf_bits, beta, gamma, pieces[r]) for r in sorted(pieces))
 
 
 class ZclResult(NamedTuple):

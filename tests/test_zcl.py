@@ -16,7 +16,7 @@ from w23 import zcl as zcl_module
 from w23.cache import zcl_results
 from w23.cli import main
 from w23.groebner import basis_for
-from w23.poly import W2, W3, Poly
+from w23.poly import W2, W3, Poly, lucas_binom_mod2
 from w23.quotient import QuotientRing, brute_heights, build_quotient
 from w23.verify import (
     TensorElement,
@@ -287,6 +287,63 @@ def test_pruned_cells_match_pieces():
                 if not want:
                     vanishing.add((beta, gamma))
     assert late > 1000
+
+
+def test_cell_test_reads_each_kept_term_once(monkeypatch):
+    # every vanishing cell of the capped grid, so every piece is summed: the
+    # first term list is the balanced piece's Lucas terms, and the later
+    # lists, one per left degree in ascending order, hold each term above
+    # the balanced degree with both factors nonzero exactly once; that set
+    # is found here by nf_bits probes over the submasks, not by q.top
+    lists = []
+    piece = zcl_module._piece_nonzero
+
+    def recorded(nf_bits, beta, gamma, terms):
+        lists.append(list(terms))
+        return piece(nf_bits, beta, gamma, terms)
+
+    monkeypatch.setattr(zcl_module, "_piece_nonzero", recorded)
+    for n in (21, 22, 40, 100):
+        q = build_quotient(n)
+        h2, h3 = brute_heights(q)
+        for gamma in range(_zcap(h3) + 1):
+            for beta in range(_zcap(h2) + 1):
+                lists.clear()
+                if zero_divisor_product_nonzero(q, beta, gamma):
+                    continue
+                degrees = _scan_degrees(q, beta, gamma)
+                if not degrees:
+                    assert not lists, (n, beta, gamma)
+                    continue
+                r0 = degrees[0]
+                balanced = [
+                    ((r0 - 3 * c) // 2, c)
+                    for c in range(min(gamma, r0 // 3) + 1)
+                    if (r0 - 3 * c) % 2 == 0
+                    and lucas_binom_mod2(gamma, c)
+                    and (r0 - 3 * c) // 2 <= beta
+                    and lucas_binom_mod2(beta, (r0 - 3 * c) // 2)
+                ]
+                assert sorted(lists[0]) == sorted(balanced), (n, beta, gamma)
+                later = lists[1:]
+                left_degrees = []
+                for terms in later:
+                    assert terms and len({2 * b + 3 * c for b, c in terms}) == 1
+                    left_degrees.append(2 * terms[0][0] + 3 * terms[0][1])
+                assert left_degrees == sorted(set(left_degrees))
+                assert not left_degrees or left_degrees[0] > r0
+                kept = {
+                    (b, c)
+                    for c in range(gamma + 1)
+                    if not c & ~gamma
+                    for b in range(beta + 1)
+                    if not b & ~beta
+                    and 2 * b + 3 * c > r0
+                    and q.nf_bits(b, c)
+                    and q.nf_bits(beta - b, gamma - c)
+                }
+                read = [t for terms in later for t in terms]
+                assert len(read) == len(set(read)) and set(read) == kept, (n, beta, gamma)
 
 
 def _unpruned_search(q):
