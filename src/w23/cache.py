@@ -1,12 +1,13 @@
 """Stored zcl results, and the one sweep that serves them.
 
-A result is one JSON file, zcl-{n}.json, per n, holding schema_version,
-kind, n, value, beta and gamma.  `load` serves an entry only when every
-field checks out and its cell z(w2)^beta*z(w3)^gamma is nonzero in
-W_n (x) W_n, so a stale, damaged, forged or misplaced entry (a copy under
-another n) is treated as absent and recomputed.  That check proves only a
-lower bound: a smaller value stored under the right n, with a nonzero
-cell, still passes.  Entries are replaced atomically.
+A result is one JSON file, zcl-{n}.json, per n, holding schema_version, n
+and the cell, the fields of zcl.ZclResult: beta and gamma.  The value,
+beta + gamma, is derived and never stored.  `load` serves an entry only
+when every field checks out and its cell z(w2)^beta*z(w3)^gamma is
+nonzero in W_n (x) W_n, so a stale, damaged, forged or misplaced entry (a
+copy under another n) is treated as absent and recomputed.  That check
+proves only a lower bound: a smaller cell stored under the right n, if
+nonzero, still passes.  Entries are replaced atomically.
 
 `zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
 the verify suites.  It searches the n it could not load in decreasing
@@ -32,51 +33,34 @@ from pathlib import Path
 from .quotient import build_quotient
 from .zcl import ZclResult, zcl_search, zero_divisor_product_nonzero
 
-SCHEMA_VERSION = 2
-ENV_VAR = "W23_CACHE_DIR"
-
-
-def resolve_cache_dir(flag: str | None) -> Path | None:
-    """An explicit --cache-dir wins over the W23_CACHE_DIR environment variable."""
-    if flag:
-        return Path(flag)
-    env = os.environ.get(ENV_VAR)
-    return Path(env) if env else None
+SCHEMA_VERSION = 3
 
 
 def load(cache_dir: Path | None, n: int) -> ZclResult | None:
     """The stored zcl(W_n), or None (recompute) unless every check passes:
-    the file is an object of this schema with kind "zcl" and this n, both
-    given as ints (true or 21.0 is refused); value, beta and gamma are
-    nonnegative ints with value = beta + gamma; and the cell is nonzero,
-    by zcl.zero_divisor_product_nonzero on a fresh W_n.  That test scans
-    no piece above twice the ring's top degree, so a huge stored exponent
-    is refused at once.
+    the file is an object of this schema and this n, both given as ints
+    (true or 21.0 is refused); beta and gamma are nonnegative ints; and the
+    cell is nonzero, by zcl.zero_divisor_product_nonzero on a fresh W_n.
+    That test scans no piece above twice the ring's top degree, so a huge
+    stored exponent is refused at once.
     """
     if cache_dir is None:
         return None
     try:
         payload = json.loads((cache_dir / f"zcl-{n}.json").read_text())
-        fields = (payload["value"], payload["beta"], payload["gamma"])
+        cell = ZclResult(payload["beta"], payload["gamma"])
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
-    version, kind, stored_n = payload.get("schema_version"), payload.get("kind"), payload.get("n")
-    if not (type(version) is int and type(stored_n) is int):
+    header = (payload.get("schema_version"), payload.get("n"))
+    if header != (SCHEMA_VERSION, n) or not all(type(x) is int for x in (*header, *cell)):
         return None
-    if (version, kind, stored_n) != (SCHEMA_VERSION, "zcl", n):
+    if min(cell) < 0 or not zero_divisor_product_nonzero(build_quotient(n), *cell):
         return None
-    if not all(type(x) is int and x >= 0 for x in fields):
-        return None
-    value, beta, gamma = fields
-    if value != beta + gamma:
-        return None
-    if not zero_divisor_product_nonzero(build_quotient(n), beta, gamma):
-        return None
-    return ZclResult(value, beta, gamma)
+    return cell
 
 
 def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
-    """Write the entry atomically: a temp file in cache_dir, then os.replace.
+    """Write schema_version, n and the fields of res atomically: a temp file, then os.replace.
 
     A reader sees either the old entry or the whole new one, never a
     partly written file.
@@ -84,7 +68,7 @@ def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = {"schema_version": SCHEMA_VERSION, "kind": "zcl", "n": n, **res._asdict()}
+    body = {"schema_version": SCHEMA_VERSION, "n": n, **res._asdict()}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".zcl-{n}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -125,7 +109,7 @@ def zcl_results(
 
     Two or more workers form a `spawn` pool, which re-imports the calling
     script: call this under `if __name__ == "__main__":`, or each worker dies
-    starting up, the pool replaces it, and the call never returns.
+    starting up and the call raises BrokenProcessPool.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -135,10 +119,12 @@ def zcl_results(
     if workers <= 1:
         found.update(_sweep(missing, cache_dir))
         return found
-    import multiprocessing  # only a real pool needs it; keeps `import w23.cli` light
+    # only a real pool needs these; keeps `import w23.cli` light
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     chains = [missing[k::workers] for k in range(workers)]
-    with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
-        for chain in pool.imap(partial(_sweep, cache_dir=cache_dir), chains):
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        for chain in pool.map(partial(_sweep, cache_dir=cache_dir), chains):
             found.update(chain)
     return found

@@ -90,15 +90,17 @@ def _range_from(low: int, high: int | None = None) -> Callable[[str], tuple[int,
 
 
 def _cache_dir(args, parser) -> Path | None:
-    """The resolved cache directory, created now, so that an unusable path
-    is a usage error before any ring is built."""
-    cache_dir = cache.resolve_cache_dir(args.cache_dir)
-    if cache_dir is not None:
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            source = "--cache-dir" if args.cache_dir else f"${cache.ENV_VAR}"
-            parser.error(f"{source} {str(cache_dir)!r} is not a usable directory: {exc.strerror}")
+    """The --cache-dir directory, created now, so that an unusable path (an
+    empty one would name the working directory) is a usage error at once."""
+    if args.cache_dir is None:
+        return None
+    if not args.cache_dir:
+        parser.error("--cache-dir '' is not a usable directory: the path is empty")
+    cache_dir = Path(args.cache_dir)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--cache-dir {str(cache_dir)!r} is not a usable directory: {exc.strerror}")
     return cache_dir
 
 
@@ -199,8 +201,11 @@ def cmd_zcl(args, parser) -> View:
     failed = args.closed_form_check and reference != res.value
 
     # the witness is built only where it is printed, on a fresh ring
+    def cell_witness():
+        return witness(build_quotient(args.n), res.beta, res.gamma)
+
     def data():
-        r, ((b1, c1), (b2, c2)) = witness(build_quotient(args.n), res.beta, res.gamma)
+        r, ((b1, c1), (b2, c2)) = cell_witness()
         w = {"beta": res.beta, "gamma": res.gamma, "r": r, "pair": [[b1, c1], [b2, c2]]}
         payload = {"n": args.n, "zcl": res.value, "witness": w}
         if args.closed_form_check:
@@ -211,7 +216,7 @@ def cmd_zcl(args, parser) -> View:
     def lines():
         yield f"zcl(W_{args.n}) = {res.value}"
         if args.witness:
-            r, (m1, m2) = witness(build_quotient(args.n), res.beta, res.gamma)
+            r, (m1, m2) = cell_witness()
             yield (
                 f"witness: beta={res.beta} gamma={res.gamma} r={r}"
                 f" pair={mono_text(m1)} (x) {mono_text(m2)}"
@@ -373,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=lambda args: func(args, p))
         return p
 
-    cache_help = f"directory for resumable results (overrides ${cache.ENV_VAR})"
+    cache_help = "directory for resumable results"
     with_csv = ("text", "json", "csv")
 
     p = command("g", cmd_g, "one series polynomial g_r")
@@ -403,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare against the closed form (exit 1 on mismatch)",
     )
-    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="no effect: one n starts no worker")
     p.add_argument("--cache-dir", help=cache_help)
 
     p = command("zcl-range", cmd_zcl_range, "zcl(W_n) for a range of n", with_csv)

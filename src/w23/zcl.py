@@ -51,10 +51,10 @@ doubling distances and a bisection, then resumes one row higher at
 beta - 1.  Each skipped row would have found beta nonzero, a strict
 improvement, so the final cell is the row-by-row walk's.  At W_1408, where
 the staircase is one flat row, that is 10 cells tested instead of 512.
-The search returns that cell, (value, beta, gamma): the nonzero product is
-the fact the lower bound rests on.  A pair (m1, m2) that survives in it
-only illustrates the fact, so it is built apart, by `witness`, and only
-`w23 zcl` asks for it.
+The search returns that cell, ZclResult(beta, gamma), and its value is
+derived, beta + gamma: the nonzero product is the whole fact the lower
+bound rests on.  A pair (m1, m2) that survives in it only illustrates the
+fact, so it is built apart, by `witness`, and only `w23 zcl` asks for it.
 Exponent caps come from the heights of w2 and w3: an element of height h
 gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
 forces height(z) = 2^(u+1)-1.
@@ -188,9 +188,14 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
 
 
 class ZclResult(NamedTuple):
-    value: int
+    """A nonzero cell z(w2)^beta*z(w3)^gamma; its value is beta + gamma."""
+
     beta: int
     gamma: int
+
+    @property
+    def value(self) -> int:
+        return self.beta + self.gamma
 
 
 def _zcap(h: int) -> int:
@@ -245,7 +250,7 @@ def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list
 
 def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     """Branch-and-bound staircase maximum of beta+gamma: the first maximal
-    nonzero cell, as ZclResult(value, beta, gamma).
+    nonzero cell, as ZclResult(beta, gamma); its value is beta + gamma.
 
     Walks gamma upward.  Vanishing is upward-closed, so the boundary can only
     move left and each row descends from the previous row's beta.  A row
@@ -280,22 +285,22 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     stair = [] if stair is None else stair
     if not stair:  # z(w2)^(beta+1) = z(w3)^(gamma_cap+1) = 0
         stair += [beta + 1] * (gamma_cap + 1) + [0]
-    best: tuple[int, int, int] | None = None  # (value, beta, gamma)
+    best: ZclResult | None = None
     gamma = 0
     while gamma <= gamma_cap:
-        floor = -1 if best is None else max(best[0] - gamma, -1)
+        floor = -1 if best is None else max(best.value - gamma, -1)
         while beta > floor and not _nonzero(q, beta, gamma, stair):
             beta -= 1
         if beta > floor:
             gamma = _row_end(q, beta, gamma, gamma_cap, stair)
-            best = (beta + gamma, beta, gamma)
+            best = ZclResult(beta, gamma)
             beta -= 1  # (beta, gamma + 1) vanishes or lies past the cap
-        if best is None or beta < 0 or best[0] >= beta + gamma_cap:
+        if best is None or beta < 0 or best.value >= beta + gamma_cap:
             break
         gamma += 1
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
-    return ZclResult(*best)
+    return best
 
 
 def zcl_closed_form(n: int) -> int:

@@ -62,15 +62,16 @@ def test_criterion_2_groebner_differential():
     t0 = time.perf_counter()
     for n in range(2, 65):
         direct = basis_for(n)
+        generic = reduce_basis(
+            buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)])
+        )
+        # the LMs of the Buchberger basis: the closed form sets its own by the formula
         prof = binary_profile(n)
-        for i, lm in enumerate(direct.lms):
+        for i, lm in enumerate(generic.lms):
             assert lm == (
                 prof.l[i] << i,
                 prof.alpha[i] * prof.s_prev(i) + (1 << i) - 1,
             ), (n, i)
-        generic = reduce_basis(
-            buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)])
-        )
         assert direct.polys == generic.polys, n
     _stamp(2, "closed-form basis = Buchberger basis, LMs exact, n in [2,64]", t0, 30.0)
 

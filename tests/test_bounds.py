@@ -257,7 +257,7 @@ def test_bounds_suite_reports_a_mismatch_without_raising(monkeypatch):
 
     def off_by_one(ns, *args, **kwargs):
         results = real(ns, *args, **kwargs)
-        results[23] = results[23]._replace(value=results[23].value + 1)
+        results[23] = results[23]._replace(gamma=results[23].gamma + 1)
         return results
 
     monkeypatch.setattr(verify, "zcl_results", off_by_one)

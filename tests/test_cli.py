@@ -149,7 +149,6 @@ def test_no_command_runs_buchberger_or_heap_division(capsys, monkeypatch):
 
     for name in ("buchberger", "reduce_basis", "normal_form"):
         monkeypatch.setattr(groebner_module, name, oracle)
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
     for argv, text in SMALL_RING_TEXT.items():
         assert run(capsys, *argv) == (0, text), argv
     for n, gb in reference.items():
@@ -236,8 +235,8 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     assert entry.exists()
     good = json.loads(entry.read_text())
 
-    # an inconsistent entry (value != beta + gamma) is recomputed and rewritten
-    entry.write_text(json.dumps(dict(good, value=999)))
+    # a damaged entry (gamma not an int) is recomputed and rewritten
+    entry.write_text(json.dumps(dict(good, gamma=str(good["gamma"]))))
     _, out = run(capsys, "zcl", "7", "--cache-dir", str(cache_dir))
     assert out == "zcl(W_7) = 7\n"
     assert json.loads(entry.read_text()) == good
@@ -250,7 +249,7 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
 
     # a consistent but wrong entry fails the cell check on the ring: in W_7
     # z(w2)^8 = 0; recomputed and rewritten
-    entry.write_text(json.dumps(dict(good, value=8, beta=8, gamma=0)))
+    entry.write_text(json.dumps(dict(good, beta=8, gamma=0)))
     _, out = run(capsys, "zcl", "7", "--closed-form-check", "--cache-dir", str(cache_dir))
     assert out == "zcl(W_7) = 7\nclosed-form check: ok (7)\n"
     assert json.loads(entry.read_text()) == good
@@ -279,9 +278,29 @@ def test_schema_1_entry_is_recomputed_and_rewritten(capsys, tmp_path):
     assert cache.load(tmp_path, 21) is None
     _, out = run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
     assert out == "zcl(W_21) = 21\n"
-    assert json.loads(entry.read_text()) == {
-        "schema_version": 2, "kind": "zcl", "n": 21, "value": 21, "beta": 15, "gamma": 6,
-    }
+    assert json.loads(entry.read_text()) == {"schema_version": 3, "n": 21, "beta": 15, "gamma": 6}
+
+
+def test_schema_2_entry_is_recomputed_and_rewritten(capsys, tmp_path):
+    # the layout before this one stored the kind and the value beside the
+    # cell; such an entry, even a right one, is refused and replaced
+    old = {"schema_version": 2, "kind": "zcl", "n": 21, "value": 21, "beta": 15, "gamma": 6}
+    entry = tmp_path / "zcl-21.json"
+    entry.write_text(json.dumps(old))
+    assert cache.load(tmp_path, 21) is None
+    _, out = run(capsys, "zcl", "21", "--cache-dir", str(tmp_path))
+    assert out == "zcl(W_21) = 21\n"
+    assert json.loads(entry.read_text()) == {"schema_version": 3, "n": 21, "beta": 15, "gamma": 6}
+
+
+def test_stored_entry_is_n_and_its_cell(tmp_path):
+    # the cell is the whole result: its value is derived, never stored
+    assert ZclResult._fields == ("beta", "gamma")
+    res = zcl_search(build_quotient(21))
+    assert res == ZclResult(15, 6) and res.value == 21
+    cache.store(tmp_path, 21, res)
+    stored = json.loads((tmp_path / "zcl-21.json").read_text())
+    assert stored == {"schema_version": cache.SCHEMA_VERSION, "n": 21, "beta": 15, "gamma": 6}
 
 
 def _forbid_witness(monkeypatch):
@@ -350,30 +369,27 @@ def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
 
 
 def _zcl7_payload(**cell):
-    entry = {"schema_version": cache.SCHEMA_VERSION, "kind": "zcl", "n": 7}
-    return {**entry, "value": 7, "beta": 7, "gamma": 0, **cell}
+    return {"schema_version": cache.SCHEMA_VERSION, "n": 7, "beta": 7, "gamma": 0, **cell}
 
 
 def test_cached_zcl_is_checked_before_use(capsys, tmp_path):
     entry = tmp_path / "zcl-7.json"
     entry.write_text(json.dumps(_zcl7_payload()))
-    assert cache.load(tmp_path, 7) == ZclResult(7, 7, 0)
+    assert cache.load(tmp_path, 7) == ZclResult(7, 0)
     without = {k: v for k, v in _zcl7_payload().items() if k not in ("beta", "gamma")}
     bad = [
         None,
         dict(_zcl7_payload(), n=8),  # stored under another n
-        dict(_zcl7_payload(), kind="zcl-range"),  # another kind of entry
         without,  # no cell
         {k: v for k, v in _zcl7_payload().items() if k != "gamma"},  # no gamma
         dict(without, witness={"beta": 7, "gamma": 0}),  # the cell nested elsewhere
-        dict(_zcl7_payload(), value=999),  # value != beta + gamma
         _zcl7_payload(beta="7"),  # not an int
-        _zcl7_payload(value=1, beta=True),  # not an int, though 1 == True + 0
-        _zcl7_payload(value=7.0),  # not an int, though 7.0 == 7
+        _zcl7_payload(beta=True),  # not an int, though True == 1 and z(w2) != 0
+        _zcl7_payload(beta=7.0),  # not an int, though 7.0 == 7
         _zcl7_payload(beta=[7]),  # not an int
         _zcl7_payload(beta=10, gamma=-3),  # negative
-        _zcl7_payload(value=8, beta=8),  # consistent, but z(w2)^8 = 0 in W_7
-        _zcl7_payload(value=8, gamma=1),  # consistent, but above zcl(W_7) = 7
+        _zcl7_payload(beta=8),  # z(w2)^8 = 0 in W_7
+        _zcl7_payload(gamma=1),  # above zcl(W_7) = 7
     ]
     nested = "[" * 1000 + "]" * 1000  # json.loads raises RecursionError
     for text in [json.dumps(payload) for payload in bad] + [nested]:
@@ -407,15 +423,15 @@ def test_copied_entry_is_recomputed(capsys, tmp_path):
     _, out = run(capsys, "zcl", "22", "--cache-dir", str(tmp_path))
     assert out == "zcl(W_22) = 22\n"
     stored = json.loads((tmp_path / "zcl-22.json").read_text())
-    assert (stored["n"], stored["value"]) == (22, 22)
+    assert (stored["n"], stored["beta"] + stored["gamma"]) == (22, 22)
 
 
 def test_forged_cell_is_rejected_before_any_piece_scan(capsys, tmp_path, monkeypatch):
-    # self-consistent fields, but the cell's degree 3*gamma is far above
+    # well-typed fields, but the cell's degree 3*gamma is far above
     # twice the top degree of W_21, so no piece is scanned at all; a scan of
     # the submasks of gamma = 10**12 would never finish
     gamma = 10**12
-    payload = dict(_zcl7_payload(), n=21, value=gamma, beta=0, gamma=gamma)
+    payload = dict(_zcl7_payload(), n=21, beta=0, gamma=gamma)
     (tmp_path / "zcl-21.json").write_text(json.dumps(payload))
 
     def no_scan(*args):
@@ -428,19 +444,18 @@ def test_forged_cell_is_rejected_before_any_piece_scan(capsys, tmp_path, monkeyp
     assert out == "zcl(W_21) = 21\n"
 
 
-# the fields of a stored entry: every field that can go, and every int field
-_FIELDS = ["schema_version", "kind", "n", "value", "beta", "gamma"]
-_INT_FIELDS = ["schema_version", "n", "value", "beta", "gamma"]
+# the fields of a stored entry, each an int
+_FIELDS = ["schema_version", "n", "beta", "gamma"]
 _MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(_FIELDS)),
     st.tuples(
         st.just("retype"),
-        st.sampled_from(_INT_FIELDS),
+        st.sampled_from(_FIELDS),
         st.sampled_from([bool, str, float, lambda v: [v], lambda v: None]),
     ),
-    st.tuples(st.just("shift"), st.sampled_from(_INT_FIELDS), st.sampled_from([-1, 1])),
+    st.tuples(st.just("shift"), st.sampled_from(_FIELDS), st.sampled_from([-1, 1])),
     st.tuples(
-        st.just("huge"), st.sampled_from(_INT_FIELDS), st.sampled_from([2**64, 10**30, 10**400])
+        st.just("huge"), st.sampled_from(_FIELDS), st.sampled_from([2**64, 10**30, 10**400])
     ),
     st.tuples(st.just("move"), st.integers(6, 40)),
 )
@@ -454,8 +469,10 @@ def searched_6_40():
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(n=st.integers(6, 40), mutation=_MUTATIONS)
 def test_load_serves_a_mutated_entry_only_as_searched(searched_6_40, n, mutation):
-    # whatever one mutation does to a valid entry, load answers None or the
-    # searched result, never another value
+    # whatever one mutation does to a valid entry, load answers None, the
+    # searched result or, at the limit the cell test leaves (a nonzero cell
+    # proves only a lower bound), the stored cell with one exponent lowered
+    # by one; never a higher value
     with tempfile.TemporaryDirectory() as tmp:
         cache_dir = Path(tmp)
         cache.store(cache_dir, n, searched_6_40[n])
@@ -477,7 +494,10 @@ def test_load_serves_a_mutated_entry_only_as_searched(searched_6_40, n, mutation
             else:
                 entry[key] = arg
             entry_file.write_text(json.dumps(entry))
-        assert cache.load(cache_dir, target) in (None, searched_6_40[target])
+        served = cache.load(cache_dir, target)
+        if served not in (None, searched_6_40[target]):
+            assert kind == "shift" and key in ("beta", "gamma") and arg == -1, mutation
+            assert served == ZclResult(entry["beta"], entry["gamma"]), (served, mutation)
 
 
 def test_load_serves_exactly_the_surviving_cells(searched_6_40, tmp_path):
@@ -494,7 +514,7 @@ def test_load_serves_exactly_the_surviving_cells(searched_6_40, tmp_path):
             ((res.beta + 1, res.gamma), product * z2),
             ((res.beta, res.gamma + 1), product * z3),
         ):
-            stored = ZclResult(sum(cell), *cell)
+            stored = ZclResult(*cell)
             cache.store(tmp_path, n, stored)
             served = cache.load(tmp_path, n)
             assert served == (stored if element else None), (n, cell)
@@ -517,12 +537,6 @@ def test_cache_store_is_atomic(tmp_path):
     assert cache.load(tmp_path, 21) is None
 
 
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("W23_CACHE_DIR", str(tmp_path / "envcache"))
-    run(capsys, "zcl", "6")
-    assert (tmp_path / "envcache" / "zcl-6.json").exists()
-
-
 def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     # a regular file, or a path under one, is refused before any ring is searched
     def no_search(q, stair=None):
@@ -533,22 +547,36 @@ def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     afile.write_text("")
     for path in (afile, afile / "sub"):
         for command in (["zcl", "6"], ["zcl-range", "6", "8"]):
-            for source in ("--cache-dir", cache.ENV_VAR):
-                argv = command
-                if source == cache.ENV_VAR:
-                    monkeypatch.setenv(cache.ENV_VAR, str(path))
-                else:
-                    monkeypatch.delenv(cache.ENV_VAR, raising=False)
-                    argv = [*command, "--cache-dir", str(path)]
-                with pytest.raises(SystemExit) as err:
-                    main(argv)
-                assert err.value.code == 2, (argv, source)
-                out, stderr = capsys.readouterr()
-                assert out == "" and stderr.startswith(f"usage: w23 {command[0]} "), stderr
-                line = stderr.splitlines()[-1]
-                assert line.startswith(f"w23 {command[0]}: error: "), line
-                assert source in line and repr(str(path)) in line, line
+            argv = [*command, "--cache-dir", str(path)]
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
+            out, stderr = capsys.readouterr()
+            assert out == "" and stderr.startswith(f"usage: w23 {command[0]} "), stderr
+            line = stderr.splitlines()[-1]
+            assert line.startswith(f"w23 {command[0]}: error: "), line
+            assert "--cache-dir" in line and repr(str(path)) in line, line
     assert afile.read_text() == ""
+
+
+def test_empty_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # Path('') is the working directory: an empty --cache-dir is refused
+    # before any ring is searched, and nothing is written there
+    def no_search(q, stair=None):
+        raise AssertionError(f"W_{q.n} searched")
+
+    monkeypatch.setattr(cache, "zcl_search", no_search)
+    monkeypatch.chdir(tmp_path)
+    for command in (["zcl", "6"], ["zcl-range", "6", "8"]):
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--cache-dir", ""])
+        assert err.value.code == 2, command
+        out, stderr = capsys.readouterr()
+        assert out == "" and stderr.startswith(f"usage: w23 {command[0]} "), stderr
+        assert stderr.splitlines()[-1] == (
+            f"w23 {command[0]}: error: --cache-dir '' is not a usable directory: the path is empty"
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_zcl_range_is_reported_on_its_own_parser(capsys):
@@ -799,8 +827,7 @@ def _commands(parser, prefix=()):
             yield (*prefix, name), subparser
 
 
-def test_every_format_of_every_command(capsys, monkeypatch):
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+def test_every_format_of_every_command(capsys):
     commands = dict(_commands(cli_module._build_parser()))
     assert {" ".join(words) for words in commands} == set(FORMAT_ARGVS)
     offers_csv = set()
@@ -918,7 +945,7 @@ def test_checked_statements_live_in_verify():
     # sweep, is the one module with a process pool
     package = Path(cli_module.__file__).parent
     assert not (package / "report.py").exists()
-    homes = {"Check": "verify.py", "multiprocessing": "cache.py"}
+    homes = {"Check": "verify.py", "multiprocessing": "cache.py", "concurrent": "cache.py"}
     homes.update(dict.fromkeys(ORACLES, "verify.py"))
     found = []
     for path in sorted(package.glob("*.py")):

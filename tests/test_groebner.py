@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from w23 import groebner as groebner_module
+from w23 import verify as verify_module
 from w23.gseries import g_recurrence
 from w23.groebner import (
+    GroebnerBasis,
     basis_for,
     binary_profile,
     buchberger,
@@ -17,7 +19,13 @@ from w23.groebner import (
     reduce_basis,
 )
 from w23.poly import ONE, W2, W3, ZERO, Poly, deg
-from w23.verify import failures, ideal_member, verify_membership_lemmas, w3_ideal_member
+from w23.verify import (
+    failures,
+    ideal_member,
+    run_suites,
+    verify_membership_lemmas,
+    w3_ideal_member,
+)
 
 
 def mono(b, c):
@@ -386,6 +394,27 @@ def test_basis_for_lms_are_the_polys_own():
     for n in range(2, 601):
         gb = basis_for(n)
         assert gb.lms == tuple(p.leading_monomial() for p in gb.polys), n
+
+
+def test_lm_check_reads_the_buchberger_basis(monkeypatch):
+    # basis_for sets its LMs by the formula the suite checks, so the check
+    # reads the Buchberger bases: two of their LMs swapped, the polys kept,
+    # fail that check and no other
+    labels = [c.name for c in run_suites(["groebner"], t_max=4)]
+    real = verify_module.reduce_basis
+
+    def swapped(gb):
+        reduced = real(gb)
+        lms = list(reduced.lms)
+        lms[:2] = lms[1::-1]
+        return GroebnerBasis(reduced.polys, tuple(lms))
+
+    monkeypatch.setattr(verify_module, "reduce_basis", swapped)
+    checks = run_suites(["groebner"], t_max=4)
+    assert [c.name for c in checks] == labels
+    assert [c.name for c in failures(checks)] == [
+        "leading monomials follow the two-exponent formula, 2 <= n <= 30"
+    ]
 
 
 def test_basis_for_builds_afresh():

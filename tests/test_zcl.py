@@ -1,8 +1,9 @@
 """Tensor-square algebra and the cup-length search."""
 
-import multiprocessing
+import concurrent.futures
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -172,11 +173,11 @@ def test_monotone_in_n():
 def test_witness_structure():
     q21 = build_quotient(21)
     res = zcl_search(q21)
-    assert res == ZclResult(21, 15, 6)
+    assert res == ZclResult(15, 6)
     assert witness(q21, res.beta, res.gamma) == (24, ((3, 6), (6, 4)))
     q30 = build_quotient(30)
     res = zcl_search(q30)
-    assert res.value == 42 and res.beta + res.gamma == 42
+    assert res.value == 42
     assert zero_divisor_product_nonzero(q30, res.beta, res.gamma)
     r, pair = witness(q30, res.beta, res.gamma)
     assert pair[0] in q30.basis and pair[1] in q30.basis
@@ -223,8 +224,8 @@ def test_zcl_range_serial():
     results = zcl_results(range(6, 11))
     assert {n: res.value for n, res in results.items()} == {6: 2, 7: 7, 8: 7, 9: 7, 10: 8}
     assert list(results) == [6, 7, 8, 9, 10]
-    for res in results.values():
-        assert res.beta + res.gamma == res.value
+    for n, res in results.items():
+        assert zero_divisor_product_nonzero(build_quotient(n), res.beta, res.gamma), n
 
 
 def test_tensor_element_rejects_bad_input():
@@ -361,7 +362,7 @@ def _unpruned_search(q):
         if beta < 0:
             break
         if best is None or beta + gamma > best.value:
-            best = ZclResult(beta + gamma, beta, gamma)
+            best = ZclResult(beta, gamma)
     return best
 
 
@@ -386,7 +387,7 @@ def _row_by_row_search(q):
             best = (beta + gamma, beta, gamma)
         if best is None or beta < 0 or best[0] >= beta + gamma_cap:
             break
-    return ZclResult(*best)
+    return ZclResult(*best[1:])
 
 
 def test_galloping_walk_matches_row_by_row_walk():
@@ -428,21 +429,19 @@ def test_search_builds_no_witness(monkeypatch):
     monkeypatch.setattr(zcl_module, "piece_pairs", no_witness)
     for n in (21, 440, 1408):
         res = zcl_search(QuotientRing(n, basis_for(n)))
-        assert res == ZclResult(zcl_closed_form(n), res.beta, res.gamma), n
+        assert type(res) is ZclResult and res.value == zcl_closed_form(n), n
 
 
-class _RecordingContext:
-    """A stand-in for a multiprocessing context: records pool sizes, runs in-process."""
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor: records each pool's size and start
+    method, and runs the chains in this process."""
 
     def __init__(self):
         self.methods, self.processes = [], []
 
-    def __call__(self, method):
-        self.methods.append(method)
-        return self
-
-    def Pool(self, processes):
-        self.processes.append(processes)
+    def __call__(self, max_workers, mp_context):
+        self.processes.append(max_workers)
+        self.methods.append(mp_context.get_start_method())
         return self
 
     def __enter__(self):
@@ -451,14 +450,14 @@ class _RecordingContext:
     def __exit__(self, *exc):
         return False
 
-    def imap(self, fn, items):
+    def map(self, fn, items):
         return map(fn, items)
 
 
 def test_sweep_clamps_pool_size(monkeypatch):
     # the pool is jobs clamped to the CPU count and to the missing n
-    ctx = _RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", ctx)
+    pool = _RecordingPool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     values = {n: res.value for n, res in zcl_results(range(6, 9), jobs=10**9).items()}
     assert values == {6: 2, 7: 7, 8: 7}
@@ -466,14 +465,46 @@ def test_sweep_clamps_pool_size(monkeypatch):
     assert values == SMALL_N_ZCL
     values = {n: res.value for n, res in zcl_results(range(6, 15), jobs=2).items()}
     assert values == SMALL_N_ZCL
-    assert ctx.processes == [3, 4, 2]
-    assert set(ctx.methods) == {"spawn"}
+    assert pool.processes == [3, 4, 2]
+    assert set(pool.methods) == {"spawn"}
     # one worker, or one n, runs here without a pool
     assert zcl_results([9], jobs=8)[9].value == 7
     assert [res.value for res in zcl_results([6, 7], jobs=1).values()] == [2, 7]
-    assert ctx.processes == [3, 4, 2]
+    assert pool.processes == [3, 4, 2]
     with pytest.raises(ValueError):
         zcl_results([6], jobs=0)
+
+
+def test_unguarded_pool_fails_instead_of_hanging(tmp_path):
+    # a script that starts a pool with no `if __name__ == "__main__":` guard:
+    # each spawned worker re-runs it and dies starting up, and the sweep
+    # raises BrokenProcessPool; a pool that replaced its dead workers would
+    # never return.  The script runs in its own session, so that a hang is
+    # ended with every process it started
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import os\n"
+        "from w23.cache import zcl_results\n"
+        "os.cpu_count = lambda: 2  # so that a pool of two starts\n"
+        "zcl_results(range(6, 12), jobs=2)\n"
+    )
+    src = str(Path(zcl_module.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the unguarded pool hung")
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in err, err[-2000:]
 
 
 def test_sweep_keeps_no_ring_alive():
@@ -511,14 +542,15 @@ def test_import_leaves_pool_and_cli_unloaded():
     # `import w23` loads no submodule; the entry point loads what its commands
     # share, but not the bounds (only `w23 bounds` and `table tc` import them)
     # nor the suites and their oracles (only `w23 verify`).  Only a real pool
-    # imports multiprocessing, and only csv output imports csv; the package's
-    # records are named tuples and its rational edge is integer
+    # imports multiprocessing and concurrent.futures, and only csv output
+    # imports csv; the package's records are named tuples and its rational
+    # edge is integer
     src = str(Path(zcl_module.__file__).resolve().parents[1])
     cli_modules = ["cache", "cli", "groebner", "gseries", "poly", "quotient", "zcl"]
     for module, loaded in (("w23", []), ("w23.cli", [f"w23.{m}" for m in cli_modules])):
         probe = (
             f"import sys, {module}; "
-            "print('multiprocessing' in sys.modules, "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules, "
             "sorted(m for m in sys.modules if m.startswith('w23.')), "
             "[m for m in ('dataclasses', 'inspect', 'fractions', 'csv') if m in sys.modules])"
         )
@@ -529,7 +561,7 @@ def test_import_leaves_pool_and_cli_unloaded():
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout == f"False {loaded} []\n", module
+        assert out.stdout == f"False False {loaded} []\n", module
 
 
 # the public names of the package
@@ -570,14 +602,14 @@ def test_package_names_resolve_to_their_home_modules():
 
 
 def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
-    ctx = _RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", ctx)
+    pool = _RecordingPool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     cache_dir = str(tmp_path / "cache")
     assert main(["zcl-range", "6", "8", "--jobs", "64", "--cache-dir", cache_dir]) == 0
     assert main(["zcl-range", "6", "9", "--jobs", "64", "--cache-dir", cache_dir]) == 0
     assert main(["zcl-range", "6", "14", "--jobs", "64", "--format", "csv"]) == 0
-    assert ctx.processes == [3, 8]  # 6..9 had only n=9 missing: no pool
+    assert pool.processes == [3, 8]  # 6..9 had only n=9 missing: no pool
     assert capsys.readouterr().out.endswith("14,16,15,1\n")
 
 
@@ -640,8 +672,8 @@ def test_chain_runs_across_stored_gaps(per_n_6_254, tmp_path):
 
 def test_round_robin_chains_match_per_n_walk(per_n_6_254, monkeypatch):
     # two workers run in this process: the stride-2 chains of 6..254
-    ctx = _RecordingContext()
-    monkeypatch.setattr(multiprocessing, "get_context", ctx)
+    pool = _RecordingPool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     chains = []
 
@@ -652,7 +684,7 @@ def test_round_robin_chains_match_per_n_walk(per_n_6_254, monkeypatch):
     sweep = cache_module._sweep
     monkeypatch.setattr(cache_module, "_sweep", recorded)
     assert zcl_results(range(6, 255), jobs=8) == per_n_6_254
-    assert ctx.processes == [2]
+    assert pool.processes == [2]
     assert chains == [list(range(254, 5, -2)), list(range(253, 5, -2))]
 
 
