@@ -1,13 +1,15 @@
 """Stored zcl results, and the one sweep that serves them.
 
-A result is one JSON file, zcl-{n}.json, per n, holding schema_version, n
-and the cell, the fields of zcl.ZclResult: beta and gamma.  The value,
-beta + gamma, is derived and never stored.  `load` serves an entry only
-when every field checks out and its cell z(w2)^beta*z(w3)^gamma is
-nonzero in W_n (x) W_n, so a stale, damaged, forged or misplaced entry (a
-copy under another n) is treated as absent and recomputed.  That check
-proves only a lower bound: a smaller cell stored under the right n, if
-nonzero, still passes.  Entries are replaced atomically.
+A result is one JSON file, zcl-{n}.json, per n, holding schema_version, n,
+value and the cell, the fields of zcl.ZclResult: beta and gamma.  The
+value, beta + gamma, is derived, and it is stored only as a check on the
+cell.  `load` serves an entry only when every field checks out, the value
+is the cell's sum and the cell z(w2)^beta*z(w3)^gamma is nonzero in
+W_n (x) W_n, so a stale, damaged, forged or misplaced entry (a copy under
+another n) is treated as absent and recomputed.  The cell test proves only
+a lower bound: a smaller nonzero cell stored under the right n with its
+own sum still passes.  One exponent lowered alone is refused by the sum.
+Entries are replaced atomically.
 
 `zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
 the verify suites.  It searches the n it could not load in decreasing
@@ -39,8 +41,9 @@ SCHEMA_VERSION = 3
 def load(cache_dir: Path | None, n: int) -> ZclResult | None:
     """The stored zcl(W_n), or None (recompute) unless every check passes:
     the file is an object of this schema and this n, both given as ints
-    (true or 21.0 is refused); beta and gamma are nonnegative ints; and the
-    cell is nonzero, by zcl.zero_divisor_product_nonzero on a fresh W_n.
+    (true or 21.0 is refused); value, beta and gamma are ints, beta and
+    gamma nonnegative, with value = beta + gamma; and the cell is nonzero,
+    by zcl.zero_divisor_product_nonzero on a fresh W_n.
     That test scans no piece above twice the ring's top degree, so a huge
     stored exponent is refused at once.
     """
@@ -48,19 +51,22 @@ def load(cache_dir: Path | None, n: int) -> ZclResult | None:
         return None
     try:
         payload = json.loads((cache_dir / f"zcl-{n}.json").read_text())
-        cell = ZclResult(payload["beta"], payload["gamma"])
+        value, cell = payload["value"], ZclResult(payload["beta"], payload["gamma"])
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     header = (payload.get("schema_version"), payload.get("n"))
-    if header != (SCHEMA_VERSION, n) or not all(type(x) is int for x in (*header, *cell)):
+    if header != (SCHEMA_VERSION, n) or not all(type(x) is int for x in (*header, value, *cell)):
         return None
-    if min(cell) < 0 or not zero_divisor_product_nonzero(build_quotient(n), *cell):
+    if min(cell) < 0 or value != cell.value:
+        return None
+    if not zero_divisor_product_nonzero(build_quotient(n), *cell):
         return None
     return cell
 
 
 def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
-    """Write schema_version, n and the fields of res atomically: a temp file, then os.replace.
+    """Write schema_version, n, res.value and the fields of res atomically:
+    a temp file, then os.replace.
 
     A reader sees either the old entry or the whole new one, never a
     partly written file.
@@ -68,7 +74,7 @@ def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
     if cache_dir is None:
         return
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = {"schema_version": SCHEMA_VERSION, "n": n, **res._asdict()}
+    body = {"schema_version": SCHEMA_VERSION, "n": n, "value": res.value, **res._asdict()}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".zcl-{n}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

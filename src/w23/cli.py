@@ -201,11 +201,8 @@ def cmd_zcl(args, parser) -> View:
     failed = args.closed_form_check and reference != res.value
 
     # the witness is built only where it is printed, on a fresh ring
-    def cell_witness():
-        return witness(build_quotient(args.n), res.beta, res.gamma)
-
     def data():
-        r, ((b1, c1), (b2, c2)) = cell_witness()
+        r, ((b1, c1), (b2, c2)) = witness(build_quotient(args.n), res.beta, res.gamma)
         w = {"beta": res.beta, "gamma": res.gamma, "r": r, "pair": [[b1, c1], [b2, c2]]}
         payload = {"n": args.n, "zcl": res.value, "witness": w}
         if args.closed_form_check:
@@ -216,7 +213,7 @@ def cmd_zcl(args, parser) -> View:
     def lines():
         yield f"zcl(W_{args.n}) = {res.value}"
         if args.witness:
-            r, (m1, m2) = cell_witness()
+            r, (m1, m2) = witness(build_quotient(args.n), res.beta, res.gamma)
             yield (
                 f"witness: beta={res.beta} gamma={res.gamma} r={r}"
                 f" pair={mono_text(m1)} (x) {mono_text(m2)}"

@@ -498,36 +498,26 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     top = min(n_max, 64)
     # one closed-form basis per n, built here and dropped on return
     bases = {n: basis_for(n) for n in range(2, max(n_max, top + 1) + 1)}
-    # one Buchberger basis per n, of which only the LMs are kept: the LM
-    # check reads them, as basis_for sets its own LMs by the formula
-    generic_lms: dict[int, tuple] = {}
-
-    def generic(n):
+    # one reduced Buchberger basis per n: its polys are compared with the
+    # closed form's, and its LMs with the formula, which basis_for sets its
+    # own LMs by; of the polys only a mismatch is kept
+    poly_mismatches, lm_formula = [], []
+    for n in range(2, n_max + 1):
         gb = reduce_basis(buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]))
-        generic_lms[n] = gb.lms
-        return gb
-
+        if gb.polys != bases[n].polys:
+            poly_mismatches.append((f"n={n}", bases[n].polys, gb.polys))
+        prof = binary_profile(n)
+        expected = tuple(
+            (prof.l[i] << i, prof.alpha[i] * prof.s_prev(i) + (1 << i) - 1) for i in range(prof.t)
+        )
+        lm_formula.append((f"n={n}", expected, gb.lms))
     checks = [
         _scan(
             f"closed-form basis = reduced Buchberger basis of the generators, 2 <= n <= {n_max}",
-            ((f"n={n}", bases[n].polys, generic(n).polys) for n in range(2, n_max + 1)),
-        )
+            poly_mismatches,
+        ),
+        _scan(f"leading monomials follow the two-exponent formula, 2 <= n <= {n_max}", lm_formula),
     ]
-
-    def lm_formula():
-        for n in range(2, n_max + 1):
-            prof = binary_profile(n)
-            # built by the check above, unless it stopped at a mismatch
-            for i, lm in enumerate(generic_lms.get(n) or generic(n).lms):
-                expected = (
-                    prof.l[i] << i,
-                    prof.alpha[i] * prof.s_prev(i) + (1 << i) - 1,
-                )
-                yield (f"n={n} i={i}", expected, lm)
-
-    checks.append(
-        _scan(f"leading monomials follow the two-exponent formula, 2 <= n <= {n_max}", lm_formula())
-    )
     checks.append(
         _scan(
             f"w3*I_n lies in I_(n+1) and I_(n+1) lies in I_n, 2 <= n <= {top}",

@@ -416,6 +416,20 @@ def test_lm_check_reads_the_buchberger_basis(monkeypatch):
         "leading monomials follow the two-exponent formula, 2 <= n <= 30"
     ]
 
+    # a Buchberger basis one poly short fails both the basis compare and
+    # the LM check, reported as checks, not raised
+    def short(gb):
+        reduced = real(gb)
+        return GroebnerBasis(reduced.polys[:-1], reduced.lms[:-1])
+
+    monkeypatch.setattr(verify_module, "reduce_basis", short)
+    checks = run_suites(["groebner"], t_max=4)
+    assert [c.name for c in checks] == labels
+    assert [c.name for c in failures(checks)] == [
+        "closed-form basis = reduced Buchberger basis of the generators, 2 <= n <= 30",
+        "leading monomials follow the two-exponent formula, 2 <= n <= 30",
+    ]
+
 
 def test_basis_for_builds_afresh():
     # no process-wide basis cache: callers that reuse a basis hold it
