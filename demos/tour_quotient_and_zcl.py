@@ -16,7 +16,8 @@ def main() -> None:
     print(f"  {len(q.basis)} basis monomials, top degree {q.max_degree}")
     print()
 
-    counts = q.degree_counts()
+    rows = q.by_degree()
+    counts = [len(rows.get(d, ())) for d in range(q.max_degree + 1)]
     print(f"  dimensions by degree, 0..{q.max_degree}:")
     print(f"    {' '.join(map(str, counts))}")
     print()

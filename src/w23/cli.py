@@ -159,13 +159,21 @@ def cmd_basis(args, parser) -> View:
         for d, row in sorted(q.by_degree().items()):
             yield f"deg {d}: " + " ".join(map(mono_text, row))
 
-    return View(
-        json=lambda: {
+    def payload():
+        by_degree = [0] * (q.max_degree + 1)
+        monomials = []
+        for b, c in q.basis:
+            by_degree[2 * b + 3 * c] += 1
+            monomials.append([b, c])
+        return {
             "n": args.n,
-            "count": len(q.basis),
-            "by_degree": q.degree_counts(),
-            "monomials": [[b, c] for b, c in q.basis],
-        },
+            "count": len(monomials),
+            "by_degree": by_degree,
+            "monomials": monomials,
+        }
+
+    return View(
+        json=payload,
         text=lines,
         csv=lambda: (header, [[b, c, 2 * b + 3 * c] for b, c in q.basis]),
     )
@@ -180,7 +188,7 @@ def cmd_nf(args, parser) -> View:
 
 
 def cmd_height(args, parser) -> View:
-    if args.brute or args.n < 7:
+    if args.n < 7:
         h = brute_heights(build_quotient(args.n))
         method = "brute"
     else:
@@ -395,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("height", cmd_height, "heights of w2 and w3 in W_n")
     p.add_argument("n", type=_at_least(6))
-    p.add_argument("--brute", action="store_true", help="force bisection on power probes")
 
     p = command("zcl", cmd_zcl, "zero-divisor cup-length of W_n")
     p.add_argument("n", type=_at_least(6))

@@ -43,11 +43,6 @@ def _fs_mul(a: frozenset, b: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def _fs_square(a: frozenset) -> frozenset:
-    # char-2 Frobenius: cross terms cancel in pairs
-    return frozenset((2 * b, 2 * c) for b, c in a)
-
-
 class Poly:
     """An immutable GF(2) polynomial in w2, w3 (a frozenset of monomials)."""
 
@@ -90,8 +85,6 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         return Poly._raw(self.terms ^ other.terms)
 
-    __sub__ = __add__  # char 2
-
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly._raw(_fs_mul(self.terms, other.terms))
 
@@ -105,7 +98,7 @@ class Poly:
                 result = _fs_mul(result, base)
             e >>= 1
             if e:
-                base = _fs_square(base)
+                base = _fs_mul(base, base)
         return Poly._raw(result)
 
     def leading_monomial(self) -> Monomial:

@@ -13,7 +13,7 @@ for b below the least pure power of w2, so building a ring costs O(rows)
 and w2^b*w3^c is a basis monomial iff b < len(c_bound) and c < c_bound[b].
 Nothing of size dim(W_n) is built up front: `basis` is a read-only set view
 over the rows (O(1) membership, O(rows) len, lex-order iteration), and
-by_degree() and degree_counts() derive from c_bound when asked.
+by_degree() derives from it when asked.
 
 Monomial reduction rewrites a monomial that LM(f_i) divides into the tail
 of f_i times the quotient, trying the f_i from the last back (the largest i
@@ -229,18 +229,6 @@ class QuotientRing:
         for b, c in self.basis:
             rows.setdefault(2 * b + 3 * c, []).append((b, c))
         return rows
-
-    def degree_counts(self) -> list[int]:
-        """Number of basis monomials in each degree, index 0..max_degree."""
-        # row b adds 1 at degrees 2b, 2b+3, ..., 2b+3*(c_bound[b]-1): a
-        # difference array with stride 3
-        counts = [0] * (self.max_degree + 4)
-        for b, bound in enumerate(self.c_bound):
-            counts[2 * b] += 1
-            counts[2 * b + 3 * bound] -= 1
-        for d in range(3, len(counts)):
-            counts[d] += counts[d - 3]
-        return counts[: self.max_degree + 1]
 
     def __repr__(self) -> str:
         return f"QuotientRing(n={self.n}, dim={len(self.basis)})"

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import bounds as bounds_mod
 from .cache import zcl_results
 from .gseries import g_recurrence
-from .groebner import basis_for, binary_profile, buchberger, level, normal_form, reduce_basis
+from .groebner import basis_for, buchberger, level, normal_form, reduce_basis
 from .poly import W2, W3, ZERO, Poly, deg, lucas_binom_mod2
 from .quotient import QuotientRing, brute_heights, build_quotient, heights_closed_form
 from .zcl import (
@@ -129,19 +129,6 @@ class TensorElement:
                 acc ^= {(l, r) for l in left for r in right}
         return TensorElement._raw(q, frozenset(acc))
 
-    def _square(self) -> "TensorElement":
-        q = self.ring
-        acc: set = set()
-        for m1, m2 in self.pairs:  # char-2 Frobenius; cross terms cancel
-            left = q.nf_set(2 * m1[0], 2 * m1[1])
-            if not left:
-                continue
-            right = q.nf_set(2 * m2[0], 2 * m2[1])
-            if not right:
-                continue
-            acc ^= {(l, r) for l in left for r in right}
-        return TensorElement._raw(q, frozenset(acc))
-
     def __pow__(self, e: int) -> "TensorElement":
         if e < 0:
             raise ValueError("negative exponent")
@@ -152,7 +139,7 @@ class TensorElement:
                 result = result * base
             e >>= 1
             if e:
-                base = base._square()
+                base = base * base
         return result
 
     def swap(self) -> "TensorElement":
@@ -236,10 +223,6 @@ def _scan(name: str, triples: Iterable[tuple]) -> Check:
     return Check(name, True)
 
 
-def _single(b: int, c: int) -> Poly:
-    return Poly._raw(frozenset({(b, c)}))
-
-
 def verify_g3_lemma(t: int) -> list[Check]:
     """The five closed-form evaluations of g at indices near 2^t.
 
@@ -255,12 +238,12 @@ def verify_g3_lemma(t: int) -> list[Check]:
     p = 1 << t
     cases = [
         ("a", p - 3, ZERO),
-        ("b", p + p // 2 - 3, _single(0, p // 2 - 1)),
-        ("c", p + p // 4 - 3, _single(p // 4, p // 4 - 1)),
-        ("d", p + p // 2 + p // 4 - 3, _single(p // 2, p // 4 - 1)),
+        ("b", p + p // 2 - 3, Poly({(0, p // 2 - 1)})),
+        ("c", p + p // 4 - 3, Poly({(p // 4, p // 4 - 1)})),
+        ("d", p + p // 2 + p // 4 - 3, Poly({(p // 2, p // 4 - 1)})),
     ]
     if t >= 3:
-        cases.append(("e", p + p // 2 + p // 8 - 3, _single(p // 2 + p // 8, p // 8 - 1)))
+        cases.append(("e", p + p // 2 + p // 8 - 3, Poly({(p // 2 + p // 8, p // 8 - 1)})))
     return [
         Check(f"g3({part}) t={t}: g_{r}", expect == got, str(expect), str(got))
         for part, r, expect in cases
@@ -499,18 +482,15 @@ def suite_groebner(t_max: int, sweep: Callable[[], dict]) -> list[Check]:
     # one closed-form basis per n, built here and dropped on return
     bases = {n: basis_for(n) for n in range(2, max(n_max, top + 1) + 1)}
     # one reduced Buchberger basis per n: its polys are compared with the
-    # closed form's, and its LMs with the formula, which basis_for sets its
-    # own LMs by; of the polys only a mismatch is kept
+    # closed form's, and its LMs with the closed form's, which basis_for sets
+    # by the formula and checks against each f_i; of the polys only a
+    # mismatch is kept
     poly_mismatches, lm_formula = [], []
     for n in range(2, n_max + 1):
         gb = reduce_basis(buchberger([g_recurrence(n - 2), g_recurrence(n - 1), g_recurrence(n)]))
         if gb.polys != bases[n].polys:
             poly_mismatches.append((f"n={n}", bases[n].polys, gb.polys))
-        prof = binary_profile(n)
-        expected = tuple(
-            (prof.l[i] << i, prof.alpha[i] * prof.s_prev(i) + (1 << i) - 1) for i in range(prof.t)
-        )
-        lm_formula.append((f"n={n}", expected, gb.lms))
+        lm_formula.append((f"n={n}", bases[n].lms, gb.lms))
     checks = [
         _scan(
             f"closed-form basis = reduced Buchberger basis of the generators, 2 <= n <= {n_max}",

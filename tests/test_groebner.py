@@ -397,9 +397,8 @@ def test_basis_for_lms_are_the_polys_own():
 
 
 def test_lm_check_reads_the_buchberger_basis(monkeypatch):
-    # basis_for sets its LMs by the formula the suite checks, so the check
-    # reads the Buchberger bases: two of their LMs swapped, the polys kept,
-    # fail that check and no other
+    # the check compares the Buchberger bases' LMs with the closed form's:
+    # two of their LMs swapped, the polys kept, fail that check and no other
     labels = [c.name for c in run_suites(["groebner"], t_max=4)]
     real = verify_module.reduce_basis
 

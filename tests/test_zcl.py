@@ -68,12 +68,14 @@ def test_tensor_element_ops():
 
 
 def test_pow_is_repeated_mul():
-    q = build_quotient(10)
-    a = z(q, W2) + embed_left(q, W3)
-    acc = tensor_one(q)
-    for e in range(5):
-        assert a ** e == acc
-        acc = acc * a
+    # the z identities raise to powers up to 2^3, squaring as they go
+    for n, top, make in ((10, 4, embed_left), (14, 8, z)):
+        q = build_quotient(n)
+        a = z(q, W2) + make(q, W3)
+        acc = tensor_one(q)
+        for e in range(top + 1):
+            assert a ** e == acc, (n, e)
+            acc = acc * a
 
 
 def test_z_identities():
