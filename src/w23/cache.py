@@ -91,13 +91,19 @@ def _sweep(ns: list[int], cache_dir: Path | None) -> dict[int, ZclResult]:
 
     The rings share one known-vanishing staircase (see zcl_search): for
     m > n, I_m lies in I_n, so a cell that vanishes in W_m vanishes in W_n.
+    Each ring is built under the column tops the ring before it read (see
+    QuotientRing.top); only that dict is kept, never the ring.
     """
     if any(a <= b for a, b in zip(ns, ns[1:])):
         raise ValueError("a chain of rings must run down: ns must strictly decrease")
     stair: list[int] = []
+    ceiling = None
     found = {}
     for n in ns:
-        found[n] = res = zcl_search(build_quotient(n), stair)
+        q = build_quotient(n, ceiling)
+        found[n] = res = zcl_search(q, stair)
+        ceiling = (n, q._top)
+        del q  # its memo goes before the next ring is built
         store(cache_dir, n, res)
     return found
 

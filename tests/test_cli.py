@@ -690,6 +690,35 @@ def test_verify_json_shape(capsys):
     assert all(r["ok"] for r in rows)
 
 
+def test_verify_reports_a_raising_suite_as_a_failed_check(capsys, monkeypatch):
+    # a ring whose basis reaches degree 3n-9 raises in its constructor; the
+    # suite that builds it ends as one FAIL line, not as a traceback
+    from w23 import verify
+
+    def inconsistent(n):
+        if n == 20:
+            raise RuntimeError("W_20: the basis of I_20 is inconsistent")
+        return build_quotient(n)
+
+    monkeypatch.setattr(verify, "build_quotient", inconsistent)
+    code, out = run(capsys, "verify", "quotient", "--t-max", "5", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == [
+        {
+            "name": "the quotient suite runs to its end",
+            "ok": False,
+            "expected": "no error",
+            "got": "RuntimeError('W_20: the basis of I_20 is inconsistent')",
+        }
+    ]
+    code, out = run(capsys, "verify", "quotient", "g-series", "--t-max", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL the quotient suite runs to its end: expected no error")
+    assert all(line.startswith("ok ") for line in lines[1:-1])
+    assert lines[-1].endswith(" checks, 1 failures")
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         ["zcl", "5"],

@@ -293,6 +293,26 @@ def test_top_matches_linear_scan(n, data):
     assert q.top(h3 + 1) == -1
 
 
+@settings(max_examples=40)
+@given(data=st.data())
+def test_ceiling_gives_the_same_column_tops(data):
+    # W_m maps onto W_n for m > n, so W_m's column tops bound W_n's, and a
+    # ring built under the columns W_m read finds the tops a plain ring finds,
+    # whichever columns W_m read and in whatever order W_n asks
+    n = data.draw(st.integers(6, 149), label="n")
+    m = data.draw(st.integers(n + 1, 150), label="m")
+    plain, above = build_quotient(n), build_quotient(m)
+    cols = list(range(brute_heights(plain).h3 + 2))
+    for c in data.draw(st.lists(st.sampled_from(cols), unique=True), label="read on W_m"):
+        above.top(c)
+    under = build_quotient(n, ceiling=(m, dict(above._top)))
+    for c in data.draw(st.permutations(cols), label="asked on W_n"):
+        assert under.top(c) == plain.top(c) <= above.top(c), (n, m, c)
+    for k in (n, n - 1):
+        with pytest.raises(ValueError):
+            build_quotient(n, ceiling=(k, dict(above._top)))
+
+
 def test_ring_rejects_basis_reaching_top_degree():
     # the basis of I_20 leaves monomials of degree >= 3*9-9 standing
     with pytest.raises(RuntimeError):
