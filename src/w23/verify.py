@@ -10,9 +10,11 @@ exactness edge.
 It also holds the oracles that only checks read, so that only `w23 verify`
 loads them: the explicit sum for g_r (`g_explicit`), ideal membership by
 reduction (`ideal_member`), and the tensor square on frozensets of pairs
-(`TensorElement`, `z`, `graded_piece`).  Buchberger and heap division,
-which no command runs either, stay in groebner: perfbench/tracer.py wraps
-them there.
+(`TensorElement`, `z`, `graded_piece`).  `graded_piece` is the full-Lucas
+oracle: it sums one piece over every term with C(beta, b) and C(gamma, c)
+odd, where the cell test and the witness read zcl's pruned pieces.
+Buchberger and heap division, which no command runs either, stay in
+groebner: perfbench/tracer.py wraps them there.
 
 Each suite returns a list of Check records and is deterministic (random
 sampling is seeded, parallel runs merge in n order).  `t_max` scales the
@@ -37,7 +39,6 @@ from .quotient import QuotientRing, brute_heights, build_quotient, heights_close
 from .zcl import (
     SMALL_N_ZCL,
     Pair,
-    piece_pairs,
     zcl_closed_form,
     zero_divisor_product_nonzero,
 )
@@ -186,11 +187,19 @@ class GradedPiece(NamedTuple):
 
 
 def graded_piece(q: QuotientRing, beta: int, gamma: int, r: int) -> GradedPiece:
+    """The left-degree-r piece of z(w2)^beta*z(w3)^gamma by the full Lucas
+    scan, reading no staircase and no packed row."""
     if beta < 0 or gamma < 0 or not 0 <= r <= 2 * beta + 3 * gamma:
         raise ValueError("left degree out of range")
-    acc = piece_pairs(q, beta, gamma, r)
-    pairs = frozenset((m, mm) for m, rights in acc.items() for mm in rights)
-    return GradedPiece(r, beta, gamma, TensorElement._raw(q, pairs))
+    pairs: set = set()
+    for c in range(min(gamma, r // 3) + 1):
+        b, odd = divmod(r - 3 * c, 2)
+        if odd or b > beta or not (lucas_binom_mod2(gamma, c) and lucas_binom_mod2(beta, b)):
+            continue
+        left = q.nf_set(b, c)
+        right = left and q.nf_set(beta - b, gamma - c)
+        pairs ^= {(m, mm) for m in left for mm in right}
+    return GradedPiece(r, beta, gamma, TensorElement._raw(q, frozenset(pairs)))
 
 
 class Check(NamedTuple):

@@ -13,32 +13,20 @@ which realizes the zero-divisor cup-length of W_n (w2 and w3 are the only
 indecomposables).  The product decomposes into bigraded pieces indexed by
 the left degree r, each piece a Lucas-filtered sum of nf(b, c) (x)
 nf(beta-b, gamma-c) over 2b+3c = r; the product is nonzero iff some piece
-is nonempty.  Pieces are scanned from the balanced degree outward, and only
-the upper half: the coordinate swap is a ring automorphism fixing every
-z(w2)^beta z(w3)^gamma, so the piece at r mirrors the piece at
-2*beta+3*gamma-r.
+is nonempty.  Only the upper half of the degrees is read: the coordinate
+swap is a ring automorphism fixing every z(w2)^beta z(w3)^gamma, so the
+piece at r mirrors the piece at 2*beta+3*gamma-r.
 
-The search tests a cell on packed GF(2) rows (the idea of M4RI): C(gamma, c)
-is odd exactly for the submasks c of gamma, so the terms are found by
-walking c = (c - 1) & gamma and keeping the b = (r - 3c)/2 that are
-submasks of beta.  Each normal form is a QuotientRing.nf_bits int, and the
-piece keeps, per set bit of a left form, the XOR of the right forms paired
-with it; the piece is nonzero iff some row is.  piece_pairs computes one
-piece on sets of monomial pairs, and `witness` reads a surviving pair off
-it.  The tensor-square arithmetic the pieces are checked against,
-TensorElement, z and graded_piece, is read only by the checks, so it lives
-in verify.
-
-A cell whose balanced piece is zero prunes the rest of its scan with the
-ring's nonzero staircase (QuotientRing.top, read per column): the nonzero
-monomials are closed under division, so a term survives only for the b
-between max(0, beta - top(gamma-c)) and min(beta, top(c)), and each such
-term above the balanced degree is read once, grouped by its left degree;
-the groups are summed in ascending degree.  The terms it skips are the
-ones the full scan drops after a zero normal form, so every answer is
-unchanged.  The prune waits for a zero balanced piece: most cells near the
-staircase edge end at that piece, and pruning them first cost more than
-it saved.
+One generator, _pieces, walks a cell's terms; its docstring states the scan
+order and the prune by the ring's nonzero staircase.  C(gamma, c) is odd
+exactly for the submasks c of gamma, so the terms are found by walking
+c = (c - 1) & gamma and keeping the b that are submasks of beta.  The
+cell test sums each piece on packed GF(2) rows (the idea of M4RI): per set
+bit of a left QuotientRing.nf_bits form, the XOR of the right forms paired
+with it; the piece is nonzero iff some row is.  `witness` sums the same
+pieces as sets of monomial pairs (nf_set) and reads the least pair off the
+first nonzero one.  The oracle both are checked against, the full Lucas
+scan verify.graded_piece, lives with the checks.
 
 The (beta, gamma) search walks a staircase instead of the full grid:
 multiplying a zero element by further zero divisors keeps it zero, so
@@ -70,13 +58,12 @@ finds to vanish lowers it.  The staircase also points a galloped row at its
 end: where it closes the row below the cap, the last open cell is most
 often where the row ended in the ring above, so it is probed first
 (_row_end).  The answers are the scan's, so each result is the per-n
-walk's.  On the
-6..254 sweep the per-n walk tests 7,641 cells; the chain makes 6,259 cell
-tests, answers 4,590 of them and scans 1,669.  A search of one ring seeds
-its own staircase, which answers none of its cells and closes no row
-below the cap: the walk scans every cell it tests, and it stays the
-oracle.  The sweep over n, with its stored results, its column-top
-ceilings (QuotientRing.top) and its pool, is cache.zcl_results.
+walk's.  On the 6..254 sweep the per-n walk tests 7,641 cells; the chain
+makes 6,259 cell tests, answers 4,590 of them and scans 1,669.  A search
+of one ring seeds its own staircase, which answers none of its cells and
+closes no row below the cap: the walk scans every cell it tests, and it
+stays the oracle.  The sweep over n, with its stored results, its
+column-top ceilings (QuotientRing.top) and its pool, is cache.zcl_results.
 """
 
 from __future__ import annotations
@@ -84,39 +71,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groebner import level
-from .poly import Monomial, lucas_binom_mod2
 from .quotient import QuotientRing, brute_heights, last_true
 
 SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
 
 Pair = tuple  # (Monomial, Monomial)
-
-
-def piece_pairs(q: QuotientRing, beta: int, gamma: int, r: int) -> dict:
-    """The left-degree-r piece of z(w2)^beta*z(w3)^gamma, as a dict from each
-    left basis monomial to the set of right monomials paired with it; a set
-    may be empty where its terms cancel."""
-    acc: dict[Monomial, set] = {}
-    for c in range(min(gamma, r // 3) + 1):
-        rem = r - 3 * c
-        if rem % 2 or not lucas_binom_mod2(gamma, c):
-            continue
-        b = rem // 2
-        if b > beta or not lucas_binom_mod2(beta, b):
-            continue
-        left = q.nf_set(b, c)
-        if not left:
-            continue
-        right = q.nf_set(beta - b, gamma - c)
-        if not right:
-            continue
-        for m in left:
-            got = acc.get(m)
-            if got is None:
-                acc[m] = set(right)
-            else:
-                got.symmetric_difference_update(right)
-    return acc
 
 
 def _scan_degrees(q: QuotientRing, beta: int, gamma: int):
@@ -148,26 +107,29 @@ def _piece_nonzero(nf_bits, beta: int, gamma: int, terms: list) -> bool:
     return any(rows.values())
 
 
-def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool:
-    """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n.
+def _pieces(q: QuotientRing, beta: int, gamma: int):
+    """The pieces of z(w2)^beta*z(w3)^gamma a scan reads, in scan order, as
+    (r, terms): the (b, c) whose nf(b, c) (x) nf(beta-b, gamma-c) sum to the
+    left-degree-r piece, where a term with a zero factor may be left out.
 
-    The balanced piece, of left degree r0, sums its Lucas terms: each submask
-    c of gamma with b = (r0 - 3c)/2 a submask of beta.  Only if it is zero is
-    the nonzero staircase read: w2^b*w3^c != 0 iff b <= q.top(c), so a term
-    has both factors nonzero iff max(0, beta - top(gamma-c)) <= b <= min(beta,
-    top(c)); top(gamma-c) is read only where top(c) >= 0.  Each such term of
-    left degree above r0 is kept once, under that degree, and the pieces are
-    summed in ascending degree.  Exact: the terms dropped are those the full
-    scan discards after a zero nf_bits.  Deferring the staircase keeps it off
-    the cells whose balanced piece is nonzero, most cells near the edge.
+    The balanced piece, of left degree r0, comes first, with all its Lucas
+    terms: each submask c of gamma with b = (r0 - 3c)/2 a submask of beta.
+    Only after it is the nonzero staircase read: w2^b*w3^c != 0 iff b <=
+    q.top(c), so a term has both factors nonzero iff max(0, beta -
+    top(gamma-c)) <= b <= min(beta, top(c)); top(gamma-c) is read only
+    where top(c) >= 0.  Each such term of left degree above r0 is kept
+    once, under that degree, and those pieces follow in ascending degree.
+    Exact: the terms dropped are those the full scan discards after a zero
+    normal form, and a degree with no term left has a zero piece.
+    Deferring the staircase keeps it off the cells whose balanced piece is
+    nonzero, most cells near the edge.
     """
     if beta < 0 or gamma < 0:
         raise ValueError("exponents must be nonnegative")
     degrees = _scan_degrees(q, beta, gamma)
     if not degrees:
-        return False
+        return
     r0 = degrees[0]
-    nf_bits = q.nf_bits
     cs, balanced = [], []  # cs: the c with C(gamma, c) odd, the submasks of gamma
     c = gamma
     while True:
@@ -178,8 +140,7 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
         if not c:
             break
         c = (c - 1) & gamma
-    if _piece_nonzero(nf_bits, beta, gamma, balanced):
-        return True
+    yield r0, balanced
     top = q.top
     pieces: dict[int, list] = {}  # left degree above r0 -> its kept terms, in cs order
     for c in cs:
@@ -189,7 +150,16 @@ def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool
             for b in range(lo, hi + 1):
                 if not b & ~beta:
                     pieces.setdefault(2 * b + 3 * c, []).append((b, c))
-    return any(_piece_nonzero(nf_bits, beta, gamma, pieces[r]) for r in sorted(pieces))
+    for r in sorted(pieces):
+        yield r, pieces[r]
+
+
+def zero_divisor_product_nonzero(q: QuotientRing, beta: int, gamma: int) -> bool:
+    """Whether z(w2)^beta * z(w3)^gamma != 0 in W_n (x) W_n: whether some
+    piece _pieces reads is, on packed rows."""
+    nf_bits = q.nf_bits
+    pieces = _pieces(q, beta, gamma)
+    return any(_piece_nonzero(nf_bits, beta, gamma, terms) for _, terms in pieces)
 
 
 class ZclResult(NamedTuple):
@@ -210,14 +180,16 @@ def _zcap(h: int) -> int:
 
 def witness(q: QuotientRing, beta: int, gamma: int) -> tuple[int, Pair]:
     """(r, (m1, m2)): a pair of basis monomials that survives in
-    z(w2)^beta*z(w3)^gamma, at the first nonzero left degree r in scan order,
-    the lexicographically least pair there.  Raises ValueError on a negative
+    z(w2)^beta*z(w3)^gamma, at the first nonzero piece _pieces reads, the
+    lexicographically least pair there.  Raises ValueError on a negative
     exponent or a vanishing product."""
-    if beta < 0 or gamma < 0:
-        raise ValueError("exponents must be nonnegative")
-    for r in _scan_degrees(q, beta, gamma):
-        acc = piece_pairs(q, beta, gamma, r)
-        pairs = {(m, mm) for m, ms in acc.items() for mm in ms}
+    nf_set = q.nf_set
+    for r, terms in _pieces(q, beta, gamma):
+        pairs: set = set()
+        for b, c in terms:
+            left = nf_set(b, c)
+            right = left and nf_set(beta - b, gamma - c)
+            pairs ^= {(m, mm) for m in left for mm in right}
         if pairs:
             return r, min(pairs)
     raise ValueError(f"W_{q.n}: z(w2)^{beta}*z(w3)^{gamma} vanishes, so it has no witness")

@@ -36,7 +36,6 @@ from w23.zcl import (
     ZclResult,
     _scan_degrees,
     _zcap,
-    piece_pairs,
     witness,
     zcl_closed_form,
     zcl_search,
@@ -243,7 +242,7 @@ def test_tensor_element_rejects_bad_input():
 def test_packed_cells_match_tensor_product():
     # every cell of the capped grid (so every cell near the staircase):
     # the packed-row test against the generic tensor product and against
-    # the frozenset pieces
+    # graded_piece's full Lucas scan
     for n in (9, 14, 21, 22):
         q = build_quotient(n)
         h2, h3 = brute_heights(q)
@@ -254,7 +253,7 @@ def test_packed_cells_match_tensor_product():
             for beta in range(_zcap(h2) + 2):
                 total = 2 * beta + 3 * gamma
                 pieces = any(
-                    any(piece_pairs(q, beta, gamma, r).values()) for r in range(total + 1)
+                    bool(graded_piece(q, beta, gamma, r).element) for r in range(total + 1)
                 )
                 packed = zero_divisor_product_nonzero(q, beta, gamma)
                 assert packed == bool(el) == pieces, (n, beta, gamma)
@@ -265,9 +264,10 @@ def test_packed_cells_match_tensor_product():
 def test_pruned_cells_match_pieces():
     # every cell of the capped grid: the cell test, which narrows its scan by
     # the nonzero staircase once the balanced piece is zero, against the
-    # frozenset pieces over every scanned degree.  A cell right of or above a
-    # vanishing cell vanishes too (zero times z(w2) or z(w3) is zero), so the
-    # pieces are needed only up to the vanishing frontier.
+    # full Lucas scan of graded_piece over every scanned degree.  A cell
+    # right of or above a vanishing cell vanishes too (zero times z(w2) or
+    # z(w3) is zero), so the pieces are needed only up to the vanishing
+    # frontier.
     late = 0  # nonzero cells whose balanced piece is zero
     for n in (*range(6, 41), 100, 127, 200):
         q = build_quotient(n)
@@ -279,7 +279,7 @@ def test_pruned_cells_match_pieces():
                     want = False
                 else:
                     pieces = (
-                        any(piece_pairs(q, beta, gamma, r).values())
+                        bool(graded_piece(q, beta, gamma, r).element)
                         for r in _scan_degrees(q, beta, gamma)
                     )
                     want = next(pieces, False)
@@ -351,13 +351,13 @@ def test_cell_test_reads_each_kept_term_once(monkeypatch):
 
 def _unpruned_search(q):
     """The staircase walked to every row's exact boundary, cells tested on
-    frozenset pieces: the reference for the bounded walk."""
+    graded_piece's full Lucas scan: the reference for the bounded walk."""
     h2, h3 = brute_heights(q)
     beta = _zcap(h2)
     best = None
     for gamma in range(_zcap(h3) + 1):
         while beta >= 0 and not any(
-            any(piece_pairs(q, beta, gamma, r).values())
+            bool(graded_piece(q, beta, gamma, r).element)
             for r in _scan_degrees(q, beta, gamma)
         ):
             beta -= 1
@@ -422,13 +422,11 @@ def test_search_raises_when_the_unit_cell_vanishes(monkeypatch):
 
 
 def test_search_builds_no_witness(monkeypatch):
-    # the search returns its cell; the witness, read off piece_pairs, is
-    # built only when asked for
+    # the search returns its cell; the witness is built only when asked for
     def no_witness(*args):
         raise AssertionError("a witness was built")
 
     monkeypatch.setattr(zcl_module, "witness", no_witness)
-    monkeypatch.setattr(zcl_module, "piece_pairs", no_witness)
     for n in (21, 440, 1408):
         res = zcl_search(QuotientRing(n, basis_for(n)))
         assert type(res) is ZclResult and res.value == zcl_closed_form(n), n
@@ -751,6 +749,26 @@ def test_cell_test_matches_graded_pieces(data):
             graded_piece(q, beta, gamma, r).element for r in _scan_degrees(q, beta, gamma)
         )
         assert zero_divisor_product_nonzero(q, beta, gamma) == pieces, (n, beta, gamma)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_witness_is_the_least_pair_of_the_first_nonzero_piece(data):
+    # the witness, read off the cell test's pruned pieces, against the full
+    # Lucas scan: graded_piece is zero at every scanned degree before the
+    # witness's r, and the witness is the lex-least pair of the piece at r
+    n = data.draw(st.integers(6, 60), label="n")
+    q = build_quotient(n)
+    h2, h3 = brute_heights(q)
+    cells = st.tuples(st.integers(0, _zcap(h2)), st.integers(0, _zcap(h3)))
+    cells = cells.filter(lambda cell: zero_divisor_product_nonzero(q, *cell))
+    for beta, gamma in data.draw(st.lists(cells, min_size=1, max_size=8), label="cells"):
+        r, pair = witness(q, beta, gamma)
+        degrees = _scan_degrees(q, beta, gamma)
+        assert r in degrees, (n, beta, gamma, r)
+        for before in degrees[: degrees.index(r)]:
+            assert not graded_piece(q, beta, gamma, before).element, (n, beta, gamma, before)
+        assert pair == min(graded_piece(q, beta, gamma, r).element.pairs), (n, beta, gamma)
 
 
 def test_real_pool_matches_serial_sweep(tmp_path):
