@@ -91,18 +91,20 @@ def _sweep(ns: list[int], cache_dir: Path | None) -> dict[int, ZclResult]:
 
     The rings share one known-vanishing staircase (see zcl_search): for
     m > n, I_m lies in I_n, so a cell that vanishes in W_m vanishes in W_n.
-    Each ring is built under the column tops the ring before it read (see
-    QuotientRing.top); only that dict is kept, never the ring.
+    Each ring is built under the newest, so tightest, top of every column
+    the rings before it read (see QuotientRing.top); no ring is kept.
     """
     if any(a <= b for a, b in zip(ns, ns[1:])):
         raise ValueError("a chain of rings must run down: ns must strictly decrease")
     stair: list[int] = []
+    tops: dict[int, int] = {}
     ceiling = None
     found = {}
     for n in ns:
         q = build_quotient(n, ceiling)
         found[n] = res = zcl_search(q, stair)
-        ceiling = (n, q._top)
+        tops.update(q._top)
+        ceiling = (n, tops)
         del q  # its memo goes before the next ring is built
         store(cache_dir, n, res)
     return found

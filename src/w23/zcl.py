@@ -33,19 +33,17 @@ multiplying a zero element by further zero divisors keeps it zero, so
 vanishing is upward-closed in each exponent and the boundary is monotone.
 It is also bounded: a row stops at the floor best - gamma, below which no
 cell beats the best value so far, and the walk ends once no later row can.
-Where the boundary runs flat the walk gallops: once (beta, gamma) is
-nonzero, it finds the last nonzero gamma' at that beta by probes at
-doubling distances and a bisection, then resumes one row higher at
-beta - 1.  Each skipped row would have found beta nonzero, a strict
-improvement, so the final cell is the row-by-row walk's.  At W_1408, where
-the staircase is one flat row, that is 10 cells tested instead of 512.
+Where the boundary runs flat the walk jumps: once (beta, gamma) is
+nonzero, it bisects for the last nonzero gamma' at that beta (_row_end)
+and resumes one row higher at beta - 1, with the row-by-row walk's final
+cell (zcl_search).  At W_1408, one flat row, that is one cell test and
+one probe of the cap cell's balanced piece instead of 512 cells.
 The search returns that cell, ZclResult(beta, gamma), and its value is
 derived, beta + gamma: the nonzero product is the whole fact the lower
 bound rests on.  A pair (m1, m2) that survives in it only illustrates the
 fact, so it is built apart, by `witness`, and only `w23 zcl` asks for it.
-Exponent caps come from the heights of w2 and w3: an element of height h
-gives z of height 2^ceil(log2(h+1))... precisely, 2^u <= h < 2^(u+1)
-forces height(z) = 2^(u+1)-1.
+Exponent caps come from the heights of w2 and w3: an element of height h,
+2^u <= h < 2^(u+1), gives z of height 2^(u+1)-1.
 
 A sweep over n carries vanishing cells down the ideal chain.  Since
 g_{n+1} = w2*g_{n-1} + w3*g_{n-2}, I_m lies in I_n for every m > n, so
@@ -54,16 +52,16 @@ z(w_i); a cell that vanishes in W_m vanishes in W_n.  So zcl_search takes
 an optional known-vanishing staircase, stair[gamma] the least beta known
 to vanish at gamma, shared by rings searched in decreasing n: a probe at or
 above it answers "vanishes" without a piece scan, and each cell the scan
-finds to vanish lowers it.  The staircase also points a galloped row at its
-end: where it closes the row below the cap, the last open cell is most
-often where the row ended in the ring above, so it is probed first
-(_row_end).  The answers are the scan's, so each result is the per-n
-walk's.  On the 6..254 sweep the per-n walk tests 7,641 cells; the chain
-makes 6,259 cell tests, answers 4,590 of them and scans 1,669.  A search
-of one ring seeds its own staircase, which answers none of its cells and
-closes no row below the cap: the walk scans every cell it tests, and it
-stays the oracle.  The sweep over n, with its stored results, its
-column-top ceilings (QuotientRing.top) and its pool, is cache.zcl_results.
+finds to vanish lowers it.  The staircase also points a row at its end:
+where it closes the row below the cap, the last open cell is most often
+where the row ended in the ring above, so it is probed first (_row_end).
+The answers are the scan's, so each result is the per-n walk's.  On
+6..254 the per-n walk tests 6,648 cells; the chain makes 5,883 cell
+tests, answers 4,590 of them and scans 1,293.  A search of one ring seeds
+its own staircase, which answers none of its cells and closes no row
+below the cap: the walk scans every cell it tests, and it stays the
+oracle.  The sweep over n, with its stored results, its column-top
+ceilings (QuotientRing.top) and its pool, is cache.zcl_results.
 """
 
 from __future__ import annotations
@@ -220,22 +218,22 @@ def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list
     gamma_cap not known to vanish (stair[gamma'] > beta).  Below the cap,
     (beta, g + 1) is known to vanish and the row most often ends at g, as
     it did in the ring above: g is returned if it is the row's start or
-    (beta, g) is nonzero, and the gallop runs below g otherwise.  At the
-    cap, always the case in a search of one ring, whose staircase holds
-    only cells above this beta, it gallops from the start: probing 1, 2,
-    4, ... past the last nonzero gamma until a cell vanishes or the bound
-    is passed, then bisecting between the two.
+    (beta, g) is nonzero, and it bisects below g otherwise.  At the cap,
+    always the case in a search of one ring, it first reads the cap cell's
+    balanced piece alone, the first _pieces yields: a nonzero piece ends
+    the row at the cap, as at most edges; a zero or absent one proves
+    nothing, and it bisects up to the cap.
     """
     last = len(stair) - 1
     hi = last_true(lambda g: stair[min(g, last)] > beta, gamma, gamma_cap)
-    if hi == gamma_cap:
-        hi += 1  # the staircase knows no end in this row
+    if hi == gamma_cap:  # the staircase knows no end in this row
+        _, balanced = next(_pieces(q, beta, hi), (None, ()))
+        if _piece_nonzero(q.nf_bits, beta, hi, balanced):
+            return hi
+        hi += 1
     elif hi == gamma or _nonzero(q, beta, hi, stair):
         return hi
-    lo, step = gamma, 1  # (beta, lo) nonzero; (beta, hi) vanishes
-    while lo + step < hi and _nonzero(q, beta, lo + step, stair):
-        lo, step = lo + step, 2 * step
-    return last_true(lambda g: _nonzero(q, beta, g, stair), lo, min(hi, lo + step) - 1)
+    return last_true(lambda g: _nonzero(q, beta, g, stair), gamma, hi - 1)
 
 
 def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
@@ -250,7 +248,7 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     value only changes on a strict improvement, so the final cell is the
     first maximal cell in this walk.
 
-    A row that finds a nonzero cell gallops up its column (_row_end) to the
+    A row that finds a nonzero cell bisects up its column (_row_end) to the
     last nonzero gamma at that beta and goes on one row above it at
     beta - 1.  Walking row by row, each skipped row would have found that
     beta nonzero, a strict improvement every time, and the row above would
@@ -264,8 +262,8 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     none the call seeds its own, which answers none of its cells.  A
     staircase is sound only for rings of n no larger than every ring it was
     learned on (see the module docstring).  Its answers are the scan's, and
-    where it closes a row below the cap the gallop probes that row's last
-    open cell first (_row_end), so the result is unchanged.
+    where it closes a row below the cap _row_end probes that row's last
+    open cell first, so the result is unchanged.
 
     No witness is built: `witness(q, result.beta, result.gamma)` gives one.
     Nothing is cached: each call walks again.

@@ -271,13 +271,36 @@ def test_nonzero_staircase_matches_box_scan():
 def test_edge_search_reads_few_columns():
     # at W_1408 the walk's vanishing cells need at most two columns of the
     # nonzero staircase, not all h3 + 1 = 512; and the heights bisect no
-    # powers of w2 beyond those top(0) reads, so the search fills 1,057
+    # powers of w2 beyond those top(0) reads, so the search fills 1,056
     # memo slots (1,264 when a basis monomial's slot held its own bit, and
     # 2,032 when height(w2) had its own bisection)
     q = QuotientRing(1408, basis_for(1408))
     zcl.zcl_search(q)
     assert 0 < len(q._top) <= 2
     assert _filled_slots(q) < 1600
+
+
+def test_row_ends_bisect_after_a_cap_probe(monkeypatch):
+    # a row open to the cap asks the cap cell's balanced piece before any
+    # cell test: at the edges W_1408 and W_1535 it ends the one flat row,
+    # so the walk scans 1 cell (10 under a doubling gallop); at the level
+    # top W_1022 the cap cell vanishes and one bisection ends the row, so
+    # the walk scans 13 cells and fills 63,352 slots (21 and 102,096 under
+    # the gallop, whose probes 2^k - 1 hit the vanishing all-ones cell)
+    cells = []
+    cell_test = zcl.zero_divisor_product_nonzero
+
+    def counted(q, beta, gamma):
+        cells.append((beta, gamma))
+        return cell_test(q, beta, gamma)
+
+    monkeypatch.setattr(zcl, "zero_divisor_product_nonzero", counted)
+    for n, most in ((1408, 2), (1535, 2), (1022, 16)):
+        cells.clear()
+        q = QuotientRing(n, basis_for(n))
+        zcl.zcl_search(q)
+        assert len(cells) <= most, (n, len(cells))
+    assert _filled_slots(q) < 75000, _filled_slots(q)  # W_1022's
 
 
 @settings(max_examples=40)

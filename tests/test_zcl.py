@@ -375,8 +375,8 @@ def test_bounded_walk_matches_unpruned_staircase():
 
 
 def _row_by_row_search(q):
-    """The bounded walk without the gallop, one cell per row where the
-    boundary runs flat: the reference for zcl_search's result."""
+    """The bounded walk without the row-end bisection, one cell per row
+    where the boundary runs flat: the reference for zcl_search's result."""
     h2, h3 = brute_heights(q)
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
@@ -393,14 +393,17 @@ def _row_by_row_search(q):
 
 
 def test_galloping_walk_matches_row_by_row_walk():
-    for n in (*range(6, 255), 1408, 1535):
+    # 510 and 1022 are level tops, where the cap cell vanishes and the
+    # bisection runs the whole row
+    for n in (*range(6, 255), 510, 1022, 1408, 1535):
         q = build_quotient(n)
         assert zcl_search(q) == _row_by_row_search(q), n
 
 
 def test_flat_row_is_galloped(monkeypatch):
     # at the end of level 10 the staircase is one flat row of 512 nonzero
-    # cells; the gallop and bisection test a handful of them
+    # cells; the walk tests one of them, and the cap cell's balanced piece
+    # ends the row
     cells = []
 
     def counted(q, beta, gamma):
@@ -646,8 +649,8 @@ def per_n_6_254():
 
 
 def test_chained_sweep_matches_per_n_walk(per_n_6_254, monkeypatch):
-    # the per-n walk tests 7,641 cells on 6..254; the chain answers most of
-    # them, and the sweep scans about 1,669
+    # the per-n walk tests 6,648 cells on 6..254; the chain answers most of
+    # them, and the sweep scans about 1,293
     cells = []
 
     def counted(q, beta, gamma):
@@ -663,8 +666,9 @@ def test_chained_sweep_matches_per_n_walk(per_n_6_254, monkeypatch):
 
 def test_chain_points_the_walk_at_its_row_ends(per_n_6_254, monkeypatch):
     # each row end probes first where the rings above left the row open, and
-    # each column top probes first the top the ring above read: 6..254 scans
-    # 1,669 cells and fills 35,003 memo slots (2,459 and 59,636 without them)
+    # each column top probes first the newest top the rings above read:
+    # 6..254 scans 1,293 cells and fills 28,623 memo slots (1,807 and 61,555
+    # without them)
     cells, filled = [], []
 
     def counted_cell(q, beta, gamma):
@@ -745,10 +749,18 @@ def test_cell_test_matches_graded_pieces(data):
     h2, h3 = brute_heights(q)
     cells = st.tuples(st.integers(0, _zcap(h2)), st.integers(0, _zcap(h3)))
     for beta, gamma in data.draw(st.lists(cells, min_size=1, max_size=8), label="cells"):
-        pieces = any(
-            graded_piece(q, beta, gamma, r).element for r in _scan_degrees(q, beta, gamma)
-        )
+        degrees = _scan_degrees(q, beta, gamma)
+        pieces = any(graded_piece(q, beta, gamma, r).element for r in degrees)
         assert zero_divisor_product_nonzero(q, beta, gamma) == pieces, (n, beta, gamma)
+        # the cap probe of zcl._row_end: the first piece alone, the balanced
+        # one, is nonzero exactly when the oracle's piece at that degree is
+        first = next(zcl_module._pieces(q, beta, gamma), None)
+        assert (first is None) == (not degrees), (n, beta, gamma)
+        if first is not None:
+            r0, terms = first
+            balanced = bool(graded_piece(q, beta, gamma, r0).element)
+            assert r0 == degrees[0], (n, beta, gamma, r0)
+            assert zcl_module._piece_nonzero(q.nf_bits, beta, gamma, terms) == balanced
 
 
 @settings(max_examples=100)
