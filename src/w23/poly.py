@@ -43,6 +43,21 @@ def _fs_mul(a: frozenset, b: frozenset) -> frozenset:
     return frozenset(out)
 
 
+def power(x, e: int, one):
+    """x^e by square and multiply, for any x whose * is associative, with
+    one its unit; raises ValueError for e < 0."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
 class Poly:
     """An immutable GF(2) polynomial in w2, w3 (a frozenset of monomials)."""
 
@@ -89,17 +104,7 @@ class Poly:
         return Poly._raw(_fs_mul(self.terms, other.terms))
 
     def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = frozenset({(0, 0)})
-        base = self.terms
-        while e:
-            if e & 1:
-                result = _fs_mul(result, base)
-            e >>= 1
-            if e:
-                base = _fs_mul(base, base)
-        return Poly._raw(result)
+        return power(self, e, ONE)
 
     def leading_monomial(self) -> Monomial:
         """Lex-greatest monomial; raises on the zero polynomial."""

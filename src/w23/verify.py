@@ -10,9 +10,11 @@ exactness edge.
 It also holds the oracles that only checks read, so that only `w23 verify`
 loads them: the explicit sum for g_r (`g_explicit`), ideal membership by
 reduction (`ideal_member`), and the tensor square on frozensets of pairs
-(`TensorElement`, `z`, `graded_piece`).  `graded_piece` is the full-Lucas
-oracle: it sums one piece over every term with C(beta, b) and C(gamma, c)
-odd, where the cell test and the witness read zcl's pruned pieces.
+(`TensorElement`, `z`, `graded_piece`); the product and `graded_piece`
+share one pair product, `_outer`, and powers are Poly's, poly.power.
+`graded_piece` is the full-Lucas oracle: it sums one piece over every term
+with C(beta, b) and C(gamma, c) odd, where the cell test and the witness
+read zcl's pruned pieces.
 Buchberger and heap division, which no command runs either, stay in
 groebner: perfbench/tracer.py wraps them there.
 
@@ -28,20 +30,16 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import groupby
 from typing import Callable, Iterable, NamedTuple
 
 from . import bounds as bounds_mod
 from .cache import zcl_results
 from .gseries import g_recurrence
 from .groebner import basis_for, buchberger, level, normal_form, reduce_basis
-from .poly import W2, W3, ZERO, Poly, deg, lucas_binom_mod2
+from .poly import W2, W3, ZERO, Poly, deg, lucas_binom_mod2, power
 from .quotient import QuotientRing, brute_heights, build_quotient, heights_closed_form
-from .zcl import (
-    SMALL_N_ZCL,
-    Pair,
-    zcl_closed_form,
-    zero_divisor_product_nonzero,
-)
+from .zcl import SMALL_N_ZCL, zcl_closed_form, zero_divisor_product_nonzero
 
 
 def g_explicit(r: int) -> Poly:
@@ -71,41 +69,23 @@ def w3_ideal_member(p: Poly, n: int) -> bool:
     return ideal_member(Poly._raw(frozenset((b, c - 1) for b, c in p.terms)), n)
 
 
-class TensorElement:
-    """An element of W_n (x) W_n: a frozenset of basis-monomial pairs."""
+def _outer(q: QuotientRing, x: tuple, y: tuple) -> set:
+    """The pairs of nf(x) (x) nf(y), for monomials x and y; nf(y) is read
+    only when nf(x) is nonzero."""
+    left = q.nf_set(*x)
+    right = left and q.nf_set(*y)
+    return {(m, mm) for m in left for mm in right}
 
-    __slots__ = ("ring", "pairs")
 
-    def __init__(self, ring: QuotientRing, pairs: Iterable[Pair] = ()):
-        ps = frozenset(pairs)
-        for m1, m2 in ps:
-            if m1 not in ring.basis or m2 not in ring.basis:
-                raise ValueError(f"({m1}, {m2}) is not a pair of basis monomials of W_{ring.n}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "pairs", ps)
+class TensorElement(NamedTuple):
+    """An element of W_n (x) W_n: its ring and a frozenset of pairs of basis
+    monomials, read off nf_set, none for zero.  Equal elements share a ring."""
 
-    @classmethod
-    def _raw(cls, ring: QuotientRing, pairs: frozenset) -> "TensorElement":
-        el = object.__new__(cls)
-        object.__setattr__(el, "ring", ring)
-        object.__setattr__(el, "pairs", pairs)
-        return el
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorElement is immutable")
+    ring: QuotientRing
+    pairs: frozenset = frozenset()
 
     def __bool__(self) -> bool:
         return bool(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.ring is other.ring
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.ring), self.pairs))
 
     def _check_ring(self, other: "TensorElement") -> None:
         if self.ring is not other.ring:
@@ -113,57 +93,38 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check_ring(other)
-        return TensorElement._raw(self.ring, self.pairs ^ other.pairs)
+        return TensorElement(self.ring, self.pairs ^ other.pairs)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         self._check_ring(other)
-        q = self.ring
-        acc: set = set()
+        q, acc = self.ring, set()
         for a1, a2 in self.pairs:
             for b1, b2 in other.pairs:
-                left = q.nf_set(a1[0] + b1[0], a1[1] + b1[1])
-                if not left:
-                    continue
-                right = q.nf_set(a2[0] + b2[0], a2[1] + b2[1])
-                if not right:
-                    continue
-                acc ^= {(l, r) for l in left for r in right}
-        return TensorElement._raw(q, frozenset(acc))
+                acc ^= _outer(q, (a1[0] + b1[0], a1[1] + b1[1]), (a2[0] + b2[0], a2[1] + b2[1]))
+        return TensorElement(q, frozenset(acc))
 
     def __pow__(self, e: int) -> "TensorElement":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = tensor_one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, tensor_one(self.ring))
 
     def swap(self) -> "TensorElement":
-        return TensorElement._raw(
-            self.ring, frozenset((m2, m1) for m1, m2 in self.pairs)
-        )
+        return TensorElement(self.ring, frozenset((m2, m1) for m1, m2 in self.pairs))
 
     def __repr__(self) -> str:
         return f"TensorElement(n={self.ring.n}, {len(self.pairs)} pairs)"
 
 
 def tensor_one(q: QuotientRing) -> TensorElement:
-    return TensorElement._raw(q, frozenset({((0, 0), (0, 0))}))
+    return TensorElement(q, frozenset({((0, 0), (0, 0))}))
 
 
 def embed_left(q: QuotientRing, p: Poly) -> TensorElement:
     """p (x) 1, for p already in normal form."""
-    return TensorElement._raw(q, frozenset((m, (0, 0)) for m in p.terms))
+    return TensorElement(q, frozenset((m, (0, 0)) for m in p.terms))
 
 
 def embed_right(q: QuotientRing, p: Poly) -> TensorElement:
     """1 (x) p, for p already in normal form."""
-    return TensorElement._raw(q, frozenset(((0, 0), m) for m in p.terms))
+    return TensorElement(q, frozenset(((0, 0), m) for m in p.terms))
 
 
 def nf_poly(q: QuotientRing, p: Poly) -> Poly:
@@ -196,10 +157,8 @@ def graded_piece(q: QuotientRing, beta: int, gamma: int, r: int) -> GradedPiece:
         b, odd = divmod(r - 3 * c, 2)
         if odd or b > beta or not (lucas_binom_mod2(gamma, c) and lucas_binom_mod2(beta, b)):
             continue
-        left = q.nf_set(b, c)
-        right = left and q.nf_set(beta - b, gamma - c)
-        pairs ^= {(m, mm) for m in left for mm in right}
-    return GradedPiece(r, beta, gamma, TensorElement._raw(q, frozenset(pairs)))
+        pairs ^= _outer(q, (b, c), (beta - b, gamma - c))
+    return GradedPiece(r, beta, gamma, TensorElement(q, frozenset(pairs)))
 
 
 class Check(NamedTuple):
@@ -374,13 +333,18 @@ def verify_upper_bound_lemmas(t: int) -> list[Check]:
         e = 1 << s
         cells.append((2 * p - e, 2 * p - 2 * e, p - e))
         cells.append((2 * p - e, 2 * p - e, p - 2 * e))
-    return [
-        Check(
-            f"vanishing n={n}: z(w2)^{beta}*z(w3)^{gamma} = 0",
-            not zero_divisor_product_nonzero(build_quotient(n), beta, gamma),
-        )
-        for n, beta, gamma in cells
-    ]
+    checks = []
+    for n, run in groupby(cells, key=lambda cell: cell[0]):  # cells sharing n are adjacent
+        q = build_quotient(n)
+        checks += [
+            Check(
+                f"vanishing n={n}: z(w2)^{beta}*z(w3)^{gamma} = 0",
+                not zero_divisor_product_nonzero(q, beta, gamma),
+            )
+            for _, beta, gamma in run
+        ]
+        del q  # one ring alive at a time
+    return checks
 
 
 def exactness_edge_disagreements(t: int) -> list[int]:

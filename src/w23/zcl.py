@@ -46,22 +46,23 @@ Exponent caps come from the heights of w2 and w3: an element of height h,
 2^u <= h < 2^(u+1), gives z of height 2^(u+1)-1.
 
 A sweep over n carries vanishing cells down the ideal chain.  Since
-g_{n+1} = w2*g_{n-1} + w3*g_{n-2}, I_m lies in I_n for every m > n, so
-W_m maps onto W_n, and so do the tensor squares, with z(w_i) going to
-z(w_i); a cell that vanishes in W_m vanishes in W_n.  So zcl_search takes
-an optional known-vanishing staircase, stair[gamma] the least beta known
-to vanish at gamma, shared by rings searched in decreasing n: a probe at or
+g_{n+1} = w2*g_{n-1} + w3*g_{n-2}, I_m lies in I_n for every m > n, so W_m
+maps onto W_n, and so do the tensor squares, with z(w_i) going to z(w_i);
+a cell that vanishes in W_m vanishes in W_n, as does a power of w3, so no
+ring's cap on gamma exceeds the chain's first.  So zcl_search takes an
+optional known-vanishing staircase, stair[gamma] the least beta known to
+vanish at gamma, shared by rings searched in decreasing n: a probe at or
 above it answers "vanishes" without a piece scan, and each cell the scan
 finds to vanish lowers it.  The staircase also points a row at its end:
 where it closes the row below the cap, the last open cell is most often
 where the row ended in the ring above, so it is probed first (_row_end).
-The answers are the scan's, so each result is the per-n walk's.  On
-6..254 the per-n walk tests 6,648 cells; the chain makes 5,883 cell
-tests, answers 4,590 of them and scans 1,293.  A search of one ring seeds
-its own staircase, which answers none of its cells and closes no row
-below the cap: the walk scans every cell it tests, and it stays the
-oracle.  The sweep over n, with its stored results, its column-top
-ceilings (QuotientRing.top) and its pool, is cache.zcl_results.
+The answers are the scan's, so each result is the per-n walk's.  On 6..254
+the per-n walk tests 6,648 cells; the chain makes 5,883 cell tests,
+answers 4,590 of them and scans 1,293.  A search of one ring seeds its own
+staircase, which answers none of its cells and closes no row below the
+cap: the walk scans every cell it tests, and it stays the oracle.  The
+sweep over n, with its stored results, its column-top ceilings
+(QuotientRing.top) and its pool, is cache.zcl_results.
 """
 
 from __future__ import annotations
@@ -199,12 +200,11 @@ def _nonzero(q: QuotientRing, beta: int, gamma: int, stair: list[int]) -> bool:
     cell the scan finds to vanish lowers it for its gamma and every gamma
     above.
     """
-    last = len(stair) - 1
-    if beta >= stair[min(gamma, last)]:
+    if beta >= stair[gamma]:
         return False
     if zero_divisor_product_nonzero(q, beta, gamma):
         return True
-    while gamma <= last and stair[gamma] > beta:
+    while gamma < len(stair) and stair[gamma] > beta:
         stair[gamma] = beta
         gamma += 1
     return False
@@ -224,8 +224,7 @@ def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list
     the row at the cap, as at most edges; a zero or absent one proves
     nothing, and it bisects up to the cap.
     """
-    last = len(stair) - 1
-    hi = last_true(lambda g: stair[min(g, last)] > beta, gamma, gamma_cap)
+    hi = last_true(lambda g: stair[g] > beta, gamma, gamma_cap)
     if hi == gamma_cap:  # the staircase knows no end in this row
         _, balanced = next(_pieces(q, beta, hi), (None, ()))
         if _piece_nonzero(q.nf_bits, beta, hi, balanced):
@@ -257,13 +256,13 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
 
     `stair` is the known-vanishing staircase of a chain of rings searched
     in decreasing n, and this call reads and lowers it: stair[gamma] is the
-    least beta known to vanish at gamma, and the last entry, 0, covers every
-    larger gamma.  An empty list is first seeded with this ring's caps; with
-    none the call seeds its own, which answers none of its cells.  A
-    staircase is sound only for rings of n no larger than every ring it was
-    learned on (see the module docstring).  Its answers are the scan's, and
-    where it closes a row below the cap _row_end probes that row's last
-    open cell first, so the result is unchanged.
+    least beta known to vanish at gamma, for gamma up to the first ring's
+    cap.  An empty list is first seeded with this ring's caps; with none the
+    call seeds its own, which answers none of its cells.  A staircase is
+    sound only for rings of n no larger than every ring it was learned on,
+    whose caps are no larger (see the module docstring).  Its answers are
+    the scan's, and where it closes a row below the cap _row_end probes that
+    row's last open cell first, so the result is unchanged.
 
     No witness is built: `witness(q, result.beta, result.gamma)` gives one.
     Nothing is cached: each call walks again.
@@ -272,8 +271,8 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
     stair = [] if stair is None else stair
-    if not stair:  # z(w2)^(beta+1) = z(w3)^(gamma_cap+1) = 0
-        stair += [beta + 1] * (gamma_cap + 1) + [0]
+    if not stair:  # z(w2)^(beta+1) = 0, and no gamma past the cap is read
+        stair += [beta + 1] * (gamma_cap + 1)
     best: ZclResult | None = None
     gamma = 0
     while gamma <= gamma_cap:

@@ -243,6 +243,24 @@ def test_quotient_suite_builds_one_ring_per_n(monkeypatch):
     assert sorted(built) == list(range(6, 63))
 
 
+def test_upper_bound_lemmas_build_one_ring_per_n(monkeypatch):
+    # the stated vanishings come in runs of cells that share n: one ring
+    # per run, in the order of the cells
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return build_quotient(n)
+
+    monkeypatch.setattr(verify, "build_quotient", counted)
+    for t in range(4, 8):
+        built.clear()
+        p = 1 << t
+        checks = verify.verify_upper_bound_lemmas(t)
+        assert verify.failures(checks) == [] and len(checks) == 2 * t - 3, t
+        assert built == [p + p // 4, p + p // 4 + 1, *(2 * p - (1 << s) for s in range(1, t - 2))]
+
+
 def test_nonzero_staircase_matches_box_scan():
     # top(c) against nf_bits over the whole box past both heights, with the
     # columns asked in a shuffled order

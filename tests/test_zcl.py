@@ -17,7 +17,7 @@ from w23 import zcl as zcl_module
 from w23.cache import zcl_results
 from w23.cli import main
 from w23.groebner import basis_for
-from w23.poly import W2, W3, Poly, lucas_binom_mod2
+from w23.poly import ONE, W2, W3, Poly, lucas_binom_mod2, power
 from w23.quotient import QuotientRing, brute_heights, build_quotient
 from w23.verify import (
     TensorElement,
@@ -64,6 +64,29 @@ def test_tensor_element_ops():
     assert embed_left(q, W2).swap() == embed_right(q, W2)
     with pytest.raises(ValueError):
         a ** -1
+
+
+def test_zero_element_and_ring_identity():
+    q, other = build_quotient(9), build_quotient(9)
+    zero, a = TensorElement(q), z(q, W2)
+    assert not zero and zero.pairs == frozenset()
+    assert zero + a == a and a + zero == a
+    # equal pairs on two rings of the same n are still two elements
+    b = TensorElement(other, a.pairs)
+    assert not b == a and b != a
+    assert TensorElement(q, a.pairs) == a
+
+
+def test_power_is_repeated_mul():
+    # one square and multiply serves Poly and TensorElement
+    q = build_quotient(14)
+    for x, one, top in ((W2 + W3, ONE, 9), (z(q, W2), tensor_one(q), 6)):
+        acc = one
+        for e in range(top + 1):
+            assert power(x, e, one) == acc == x ** e, (x, e)
+            acc = acc * x
+        with pytest.raises(ValueError):
+            power(x, -1, one)
 
 
 def test_pow_is_repeated_mul():
@@ -231,8 +254,6 @@ def test_zcl_range_serial():
 
 def test_tensor_element_rejects_bad_input():
     q9, q10 = build_quotient(9), build_quotient(10)
-    with pytest.raises(ValueError):
-        TensorElement(q9, {((0, 0), (99, 0))})
     with pytest.raises(ValueError):
         z(q9, W2) + z(q10, W2)
     with pytest.raises(ValueError):
@@ -712,6 +733,15 @@ def test_round_robin_chains_match_per_n_walk(per_n_6_254, monkeypatch):
     assert zcl_results(range(6, 255), jobs=8) == per_n_6_254
     assert pool.processes == [2]
     assert chains == [list(range(254, 5, -2)), list(range(253, 5, -2))]
+
+
+def test_gamma_cap_never_grows_down_the_chain():
+    # a chain's staircase holds one entry per gamma up to its first ring's
+    # cap, so no later ring may read past it: for m > n, w3^k = 0 in W_m
+    # gives w3^k = 0 in W_n, and the cap of gamma never grows as n falls
+    caps = [_zcap(brute_heights(build_quotient(n)).h3) for n in range(510, 5, -1)]
+    assert all(a >= b for a, b in zip(caps, caps[1:]))
+    assert caps[0] > caps[-1]
 
 
 def test_chain_must_run_down():
