@@ -49,12 +49,10 @@ monomial is nonzero, so these monomials form a staircase (w2^b*w3^c != 0 iff
 b <= top(c), top non-increasing), and each column asked is found by
 bisection on nf_bits probes and kept on the ring.  height(w2) is top(0).
 The zcl cell test prunes its scan with it, reading only the columns its
-terms use.  A ring may be built under a ceiling, the column tops a larger
-ring W_m read: W_m maps onto W_n, so top_n(c) <= top_m(c), and top probes
-that bound first, bisecting below it only when the probe is zero.  A
-chained sweep (cache.zcl_results) passes each ring every top the rings
-before it read: on 6..254, 1,959 of the 2,087 columns read have a ceiling,
-and in 1,569 of them the ceiling is the top.
+terms use.  A ring built by a zcl.Chain reads the column tops the larger
+rings before it read as ceilings: W_m maps onto W_n for m > n, so
+top_n(c) <= top_m(c), and top probes that bound first, bisecting below it
+only when the probe is zero.
 """
 
 from __future__ import annotations
@@ -109,13 +107,10 @@ class StaircaseBasis(Set):
 
 
 class QuotientRing:
-    def __init__(self, n: int, gb: GroebnerBasis, ceiling: tuple[int, dict] | None = None):
+    def __init__(self, n: int, gb: GroebnerBasis):
         self.n = n
         self.gb = gb
-        # (m, tops): column tops top_m(c) read on W_m, m > n, which bound top(c)
-        if ceiling is not None and ceiling[0] <= n:
-            raise ValueError(f"W_{n}: a ceiling must come from a larger ring, not W_{ceiling[0]}")
-        self._ceiling: dict[int, int] = {} if ceiling is None else ceiling[1]
+        self._chain = None  # the zcl.Chain that built this ring, if one did
         # nf_bits' degree shortcut and rows are sound only for homogeneous bases
         if any(p.homogeneous_degree() is None for p in gb.polys):
             raise ValueError(f"W_{n}: the Groebner basis is not homogeneous")
@@ -221,9 +216,9 @@ class QuotientRing:
         exactly when b <= top(c), and top never increases in c.  So top(c)
         lies in [-1, top(0)], and column 0 in [-1, max_degree // 2], since
         no monomial above max_degree is nonzero; a bisection on nf_bits
-        probes finds it.  Under a ceiling that holds column c, h = top_m(c)
-        bounds it: h = -1 gives -1, a nonzero w2^h*w3^c gives h, and
-        otherwise the bisection runs below h.  Memoized per ring.
+        probes finds it.  On a zcl.Chain's newest ring the top h of column c
+        a larger ring read bounds it: h = -1 gives -1, a nonzero w2^h*w3^c
+        gives h, and otherwise the bisection runs below h.  Memoized per ring.
         """
         got = self._top.get(c)
         if got is not None:
@@ -231,8 +226,9 @@ class QuotientRing:
         if c < 0:
             raise ValueError(f"negative exponent in w3^{c}")
         hi = self.top(0) if c else self.max_degree // 2
-        h = self._ceiling.get(c)
-        if h is not None:  # top(c) <= h, since w2^(h+1)*w3^c vanished in W_m
+        chain = self._chain
+        h = chain.tops.get(c) if chain is not None and chain.n == self.n else None
+        if h is not None:  # top(c) <= h, since w2^(h+1)*w3^c vanished in a larger ring
             if h < 0 or h <= hi and self.nf_bits(h, c):
                 self._top[c] = h
                 return h
@@ -261,16 +257,11 @@ def _tail_rules(gb: GroebnerBasis) -> tuple:
     )
 
 
-def build_quotient(n: int, ceiling: tuple[int, dict] | None = None) -> QuotientRing:
-    """A fresh W_n.  Nothing keeps it: a caller that reuses a ring keeps it.
-
-    `ceiling` is (m, tops), the `_top` of a ring W_m with m > n, which
-    bounds this ring's column tops (see QuotientRing.top); m <= n raises
-    ValueError.
-    """
+def build_quotient(n: int) -> QuotientRing:
+    """A fresh W_n.  Nothing keeps it: a caller that reuses a ring keeps it."""
     if n < 6:
         raise ValueError("quotient rings are built for n >= 6")
-    return QuotientRing(n, basis_for(n), ceiling)
+    return QuotientRing(n, basis_for(n))
 
 
 def brute_heights(q: QuotientRing) -> Heights:

@@ -45,24 +45,15 @@ fact, so it is built apart, by `witness`, and only `w23 zcl` asks for it.
 Exponent caps come from the heights of w2 and w3: an element of height h,
 2^u <= h < 2^(u+1), gives z of height 2^(u+1)-1.
 
-A sweep over n carries vanishing cells down the ideal chain.  Since
-g_{n+1} = w2*g_{n-1} + w3*g_{n-2}, I_m lies in I_n for every m > n, so W_m
-maps onto W_n, and so do the tensor squares, with z(w_i) going to z(w_i);
-a cell that vanishes in W_m vanishes in W_n, as does a power of w3, so no
-ring's cap on gamma exceeds the chain's first.  So zcl_search takes an
-optional known-vanishing staircase, stair[gamma] the least beta known to
-vanish at gamma, shared by rings searched in decreasing n: a probe at or
-above it answers "vanishes" without a piece scan, and each cell the scan
-finds to vanish lowers it.  The staircase also points a row at its end:
-where it closes the row below the cap, the last open cell is most often
-where the row ended in the ring above, so it is probed first (_row_end).
-The answers are the scan's, so each result is the per-n walk's.  On 6..254
-the per-n walk tests 6,648 cells; the chain makes 5,883 cell tests,
-answers 4,590 of them and scans 1,293.  A search of one ring seeds its own
-staircase, which answers none of its cells and closes no row below the
-cap: the walk scans every cell it tests, and it stays the oracle.  The
-sweep over n, with its stored results, its column-top ceilings
-(QuotientRing.top) and its pool, is cache.zcl_results.
+A sweep over n searches its rings down one Chain, which carries what the
+larger rings learned (its docstring says why that is sound).  On a ring the
+chain built, a probe at or above the known-vanishing staircase answers
+"vanishes" without a piece scan, and where the staircase closes a row below
+the cap, its last open cell, most often where the row ended in the ring
+above, is probed first (_row_end).  The answers are the scan's, so each
+result is the per-n walk's.  A ring no chain built seeds its own staircase,
+which answers no cell: the walk scans every cell it tests and stays the
+oracle.  The sweep, with its stored results and pool, is cache.zcl_results.
 """
 
 from __future__ import annotations
@@ -70,7 +61,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groebner import level
-from .quotient import QuotientRing, brute_heights, last_true
+from .quotient import QuotientRing, brute_heights, build_quotient, last_true
 
 SMALL_N_ZCL = {6: 2, 7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10, 13: 15, 14: 16}
 
@@ -235,7 +226,7 @@ def _row_end(q: QuotientRing, beta: int, gamma: int, gamma_cap: int, stair: list
     return last_true(lambda g: _nonzero(q, beta, g, stair), gamma, hi - 1)
 
 
-def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
+def zcl_search(q: QuotientRing) -> ZclResult:
     """Branch-and-bound staircase maximum of beta+gamma: the first maximal
     nonzero cell, as ZclResult(beta, gamma); its value is beta + gamma.
 
@@ -254,15 +245,11 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     have stopped at its floor beta - 1; so the final cell and the result
     are the same.
 
-    `stair` is the known-vanishing staircase of a chain of rings searched
-    in decreasing n, and this call reads and lowers it: stair[gamma] is the
-    least beta known to vanish at gamma, for gamma up to the first ring's
-    cap.  An empty list is first seeded with this ring's caps; with none the
-    call seeds its own, which answers none of its cells.  A staircase is
-    sound only for rings of n no larger than every ring it was learned on,
-    whose caps are no larger (see the module docstring).  Its answers are
-    the scan's, and where it closes a row below the cap _row_end probes that
-    row's last open cell first, so the result is unchanged.
+    On the newest ring of a Chain the call reads and lowers the chain's
+    known-vanishing staircase, seeding it with this ring's caps if empty;
+    on any other ring it seeds its own.  The staircase's answers are the
+    scan's, and it only points _row_end at the cell to probe first, so the
+    result is unchanged.
 
     No witness is built: `witness(q, result.beta, result.gamma)` gives one.
     Nothing is cached: each call walks again.
@@ -270,7 +257,8 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     h2, h3 = brute_heights(q)
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
-    stair = [] if stair is None else stair
+    chain = q._chain
+    stair = chain.stair if chain is not None and chain.n == q.n else []
     if not stair:  # z(w2)^(beta+1) = 0, and no gamma past the cap is read
         stair += [beta + 1] * (gamma_cap + 1)
     best: ZclResult | None = None
@@ -289,6 +277,40 @@ def zcl_search(q: QuotientRing, stair: list[int] | None = None) -> ZclResult:
     if best is None:
         raise RuntimeError(f"W_{q.n}: z(w2)^0*z(w3)^0 vanished; the ring is inconsistent")
     return best
+
+
+class Chain:
+    """What a sweep over decreasing n learns, carried from ring to ring.
+
+    Since g_{n+1} = w2*g_{n-1} + w3*g_{n-2}, I_m lies in I_n for m > n, so
+    W_m maps onto W_n, and so do the tensor squares, with z(w_i) going to
+    z(w_i).  So whatever vanishes in W_m or its square vanishes in W_n: a
+    cell, so the known-vanishing staircase `stair` (stair[gamma] the least
+    beta known to vanish at gamma, seeded and lowered by zcl_search) holds
+    down the chain; a power of w3, so no ring's cap on gamma exceeds the
+    first's, which sized `stair`; and a monomial, so the column tops `tops`
+    the larger rings read bound W_n's (QuotientRing.top).
+
+    ring(n) builds W_n, the chain's newest ring, and raises ValueError
+    unless n is below every n before it.  A ring reads the chain only while
+    it is the newest.  The chain keeps no ring, only the newest one's column
+    tops, merged into `tops` when the next is built.
+    """
+
+    def __init__(self) -> None:
+        self.n = float("inf")  # the newest ring's n
+        self.stair: list[int] = []
+        self.tops: dict[int, int] = {}
+        self._top: dict[int, int] = {}  # the newest ring's own column tops
+
+    def ring(self, n: int) -> QuotientRing:
+        if n >= self.n:
+            raise ValueError(f"a chain of rings must run down: W_{n} cannot follow W_{self.n}")
+        self.tops.update(self._top)
+        q = build_quotient(n)
+        q._chain = self
+        self.n, self._top = n, q._top
+        return q
 
 
 def zcl_closed_form(n: int) -> int:

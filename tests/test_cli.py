@@ -5,6 +5,7 @@ import ast
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -35,6 +36,8 @@ from w23.zcl import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+# the directory w23 is imported from, for the w23 processes the tests start
+SRC = str(Path(cli_module.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -267,7 +270,7 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     assert json.loads(entry.read_text()) == good
 
     # a consistent entry is trusted without recomputation
-    def no_search(q, stair=None):
+    def no_search(q):
         raise AssertionError(f"W_{q.n} recomputed")
 
     monkeypatch.setattr(cache, "zcl_search", no_search)
@@ -371,10 +374,10 @@ def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
     # the sweep runs down from 30, so those are 21..30
     cache_dir = tmp_path / "cache"
 
-    def search_until_20(q, stair=None):
+    def search_until_20(q):
         if q.n == 20:
             raise KeyboardInterrupt
-        return zcl_search(q, stair)
+        return zcl_search(q)
 
     monkeypatch.setattr(cache, "zcl_search", search_until_20)
     with pytest.raises(KeyboardInterrupt):
@@ -554,7 +557,7 @@ def test_cache_store_is_atomic(tmp_path):
 
 def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     # a regular file, or a path under one, is refused before any ring is searched
-    def no_search(q, stair=None):
+    def no_search(q):
         raise AssertionError(f"W_{q.n} searched")
 
     monkeypatch.setattr(cache, "zcl_search", no_search)
@@ -577,7 +580,7 @@ def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
 def test_empty_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     # Path('') is the working directory: an empty --cache-dir is refused
     # before any ring is searched, and nothing is written there
-    def no_search(q, stair=None):
+    def no_search(q):
         raise AssertionError(f"W_{q.n} searched")
 
     monkeypatch.setattr(cache, "zcl_search", no_search)
@@ -903,6 +906,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "w23.cli", "zcl", "9"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert out.returncode == 0
     assert out.stdout == "zcl(W_9) = 7\n"
@@ -1041,5 +1045,6 @@ def test_verify_passes_under_optimize():
         [sys.executable, "-O", "-m", "w23.cli", "verify", "all", "--t-max", "4"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]

@@ -33,6 +33,7 @@ from w23.verify import (
 )
 from w23.zcl import (
     SMALL_N_ZCL,
+    Chain,
     ZclResult,
     _scan_degrees,
     _zcap,
@@ -553,9 +554,9 @@ def test_verify_runs_one_sweep(monkeypatch):
     # each n is searched once, down the chain from the largest
     searched = []
 
-    def counted(q, stair=None):
+    def counted(q):
         searched.append(q.n)
-        return zcl_search(q, stair)
+        return zcl_search(q)
 
     monkeypatch.setattr(cache_module, "zcl_search", counted)
     assert failures(run_suites(["zcl", "bounds"], t_max=4)) == []
@@ -696,8 +697,8 @@ def test_chain_points_the_walk_at_its_row_ends(per_n_6_254, monkeypatch):
         cells.append((q.n, beta, gamma))
         return zero_divisor_product_nonzero(q, beta, gamma)
 
-    def counted_search(q, stair):
-        res = zcl_search(q, stair)
+    def counted_search(q):
+        res = zcl_search(q)
         filled.append(sum(got is not None for row in q._rows.values() for got in row))
         return res
 
@@ -748,6 +749,24 @@ def test_chain_must_run_down():
     for ns in ([20, 21], [21, 21], [30, 22, 25]):
         with pytest.raises(ValueError):
             cache_module._sweep(ns, None)
+    # what W_m teaches holds for W_n only when n < m: a larger ring after a
+    # smaller one is refused, not searched on the smaller one's staircase
+    # (W_90 on W_64's would read 92, not 94)
+    for m, n in ((64, 90), (100, 200)):
+        chain = Chain()
+        zcl_search(chain.ring(m))
+        with pytest.raises(ValueError):
+            chain.ring(n)
+    with pytest.raises(TypeError):
+        zcl_search(build_quotient(90), [])
+    # a ring the chain has moved past reads nothing learned below it,
+    # neither W_64's staircase nor, once W_40 merges them, W_64's tops
+    chain, plain = Chain(), build_quotient(90)
+    above = chain.ring(90)
+    zcl_search(chain.ring(64))
+    chain.ring(40)
+    assert [above.top(c) for c in range(20)] == [plain.top(c) for c in range(20)]
+    assert zcl_search(above) == zcl_search(plain) and zcl_closed_form(90) == 94
 
 
 @settings(max_examples=40)
