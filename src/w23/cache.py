@@ -13,14 +13,14 @@ Entries are replaced atomically.
 
 `zcl_results` is the one sweep: it serves `w23 zcl`, `w23 zcl-range` and
 the verify suites.  It searches the n it could not load in decreasing
-order, down a zcl.Chain, so each ring reads what the larger rings before
-it learned.  With `--jobs J` the missing n are dealt round-robin into
-W = min(J, CPU count, number of missing n) chains, missing[k::W], one per
-worker, so the chains stay balanced; with one worker the one chain runs in
-this process.  This is the package's one process pool.  A chain needs no
-consecutive n: a gap left by a stored entry breaks nothing.  Each worker
-stores each n as it finishes, so a rerun of an interrupted sweep resumes
-where it stopped.
+order, with one zcl.Chain, whose search of each n reads what the larger
+rings before it learned.  With `--jobs J` the missing n are dealt
+round-robin into W = min(J, CPU count, number of missing n) chains,
+missing[k::W], one per worker, so the chains stay balanced; with one
+worker the one chain runs in this process.  This is the package's one
+process pool.  A chain needs no consecutive n: a gap left by a stored
+entry breaks nothing.  Each worker stores each n as it finishes, so a
+rerun of an interrupted sweep resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import partial
 from pathlib import Path
 
 from .quotient import build_quotient
-from .zcl import Chain, ZclResult, zcl_search, zero_divisor_product_nonzero
+from .zcl import Chain, ZclResult, zero_divisor_product_nonzero
 
 SCHEMA_VERSION = 3
 
@@ -86,13 +86,12 @@ def store(cache_dir: Path | None, n: int, res: ZclResult) -> None:
 
 
 def _sweep(ns: list[int], cache_dir: Path | None) -> dict[int, ZclResult]:
-    """Search each n of ns down one zcl.Chain, which refuses ns that do not
-    decrease, storing each result as it is found; one worker of
-    zcl_results runs one call.  No ring outlives its search."""
+    """One worker of zcl_results: Chain.search each n of ns on one chain,
+    which refuses ns that do not decrease, and store each result found."""
     chain = Chain()
     found = {}
     for n in ns:
-        found[n] = res = zcl_search(chain.ring(n))
+        found[n] = res = chain.search(n)
         store(cache_dir, n, res)
     return found
 

@@ -142,7 +142,9 @@ def cmd_basis(args, parser) -> View:
     q = build_quotient(args.n)
     header = ["b", "c", "degree"]
     if args.degree is not None:
-        monos = q.by_degree().get(args.degree, [])
+        d = args.degree  # in lex order: c from d // 3 down to 0, b = (d - 3c) / 2
+        cs = range(d // 3, -1, -1) if d <= q.max_degree else ()  # no loop above the top
+        monos = [m for c in cs if (d - c) % 2 == 0 and (m := ((d - 3 * c) // 2, c)) in q.basis]
         return View(
             json=lambda: {
                 "n": args.n,

@@ -49,10 +49,10 @@ monomial is nonzero, so these monomials form a staircase (w2^b*w3^c != 0 iff
 b <= top(c), top non-increasing), and each column asked is found by
 bisection on nf_bits probes and kept on the ring.  height(w2) is top(0).
 The zcl cell test prunes its scan with it, reading only the columns its
-terms use.  A ring built by a zcl.Chain reads the column tops the larger
-rings before it read as ceilings: W_m maps onto W_n for m > n, so
-top_n(c) <= top_m(c), and top probes that bound first, bisecting below it
-only when the probe is zero.
+terms use.  A ring's `_ceiling` holds column tops a larger ring read:
+W_m maps onto W_n for m > n, so top_n(c) <= top_m(c), and top probes
+that bound first, bisecting below it only when the probe is zero.  Only
+zcl.Chain.search fills it, with the larger rings' tops, before a search.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class QuotientRing:
     def __init__(self, n: int, gb: GroebnerBasis):
         self.n = n
         self.gb = gb
-        self._chain = None  # the zcl.Chain that built this ring, if one did
         # nf_bits' degree shortcut and rows are sound only for homogeneous bases
         if any(p.homogeneous_degree() is None for p in gb.polys):
             raise ValueError(f"W_{n}: the Groebner basis is not homogeneous")
@@ -142,6 +141,8 @@ class QuotientRing:
         self.basis = StaircaseBasis(c_bound)
         self._rows: dict[int, list[int | None]] = {}
         self._top: dict[int, int] = {}  # every column top() was asked, with its top
+        self._ceiling: dict[int, int] = {}  # column -> a larger ring's top, bounding top()
+        self._stair: list[int] = []  # zcl_search's known-vanishing staircase
         self._rules = _tail_rules(gb)
 
     def nf_bits(self, b: int, c: int) -> int:
@@ -216,9 +217,9 @@ class QuotientRing:
         exactly when b <= top(c), and top never increases in c.  So top(c)
         lies in [-1, top(0)], and column 0 in [-1, max_degree // 2], since
         no monomial above max_degree is nonzero; a bisection on nf_bits
-        probes finds it.  On a zcl.Chain's newest ring the top h of column c
-        a larger ring read bounds it: h = -1 gives -1, a nonzero w2^h*w3^c
-        gives h, and otherwise the bisection runs below h.  Memoized per ring.
+        probes finds it.  A ceiling h for column c, the top a larger ring
+        read, bounds it: h = -1 gives -1, a nonzero w2^h*w3^c gives h, and
+        otherwise the bisection runs below h.  Memoized per ring.
         """
         got = self._top.get(c)
         if got is not None:
@@ -226,8 +227,7 @@ class QuotientRing:
         if c < 0:
             raise ValueError(f"negative exponent in w3^{c}")
         hi = self.top(0) if c else self.max_degree // 2
-        chain = self._chain
-        h = chain.tops.get(c) if chain is not None and chain.n == self.n else None
+        h = self._ceiling.get(c)
         if h is not None:  # top(c) <= h, since w2^(h+1)*w3^c vanished in a larger ring
             if h < 0 or h <= hi and self.nf_bits(h, c):
                 self._top[c] = h

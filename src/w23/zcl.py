@@ -45,15 +45,15 @@ fact, so it is built apart, by `witness`, and only `w23 zcl` asks for it.
 Exponent caps come from the heights of w2 and w3: an element of height h,
 2^u <= h < 2^(u+1), gives z of height 2^(u+1)-1.
 
-A sweep over n searches its rings down one Chain, which carries what the
-larger rings learned (its docstring says why that is sound).  On a ring the
-chain built, a probe at or above the known-vanishing staircase answers
-"vanishes" without a piece scan, and where the staircase closes a row below
+A sweep over n runs down one Chain, whose search of W_n starts from what
+the larger rings learned (its docstring says why that is sound).  The
+search reads the ring's known-vanishing staircase: a probe at or above it
+answers "vanishes" without a piece scan, and where it closes a row below
 the cap, its last open cell, most often where the row ended in the ring
 above, is probed first (_row_end).  The answers are the scan's, so each
-result is the per-n walk's.  A ring no chain built seeds its own staircase,
-which answers no cell: the walk scans every cell it tests and stays the
-oracle.  The sweep, with its stored results and pool, is cache.zcl_results.
+result is the per-n walk's.  A fresh ring's staircase answers no cell of
+its first search: the walk scans every cell it tests and stays the oracle.
+The sweep, with its stored results and pool, is cache.zcl_results.
 """
 
 from __future__ import annotations
@@ -245,20 +245,19 @@ def zcl_search(q: QuotientRing) -> ZclResult:
     have stopped at its floor beta - 1; so the final cell and the result
     are the same.
 
-    On the newest ring of a Chain the call reads and lowers the chain's
-    known-vanishing staircase, seeding it with this ring's caps if empty;
-    on any other ring it seeds its own.  The staircase's answers are the
-    scan's, and it only points _row_end at the cell to probe first, so the
-    result is unchanged.
+    The call reads and lowers the ring's known-vanishing staircase,
+    q._stair, seeding it with this ring's caps when it is empty, as on a
+    fresh ring or a chain's first.  The staircase's answers are the scan's,
+    and it only points _row_end at the cell to probe first, so the result
+    is unchanged, on a second call on the same ring too.
 
     No witness is built: `witness(q, result.beta, result.gamma)` gives one.
-    Nothing is cached: each call walks again.
+    No result is kept: each call walks again.
     """
     h2, h3 = brute_heights(q)
     gamma_cap = _zcap(h3)
     beta = _zcap(h2)
-    chain = q._chain
-    stair = chain.stair if chain is not None and chain.n == q.n else []
+    stair = q._stair
     if not stair:  # z(w2)^(beta+1) = 0, and no gamma past the cap is read
         stair += [beta + 1] * (gamma_cap + 1)
     best: ZclResult | None = None
@@ -291,26 +290,26 @@ class Chain:
     first's, which sized `stair`; and a monomial, so the column tops `tops`
     the larger rings read bound W_n's (QuotientRing.top).
 
-    ring(n) builds W_n, the chain's newest ring, and raises ValueError
-    unless n is below every n before it.  A ring reads the chain only while
-    it is the newest.  The chain keeps no ring, only the newest one's column
-    tops, merged into `tops` when the next is built.
+    search(n) raises ValueError unless n is below every n before it, then
+    builds W_n, searches it (zcl_search) under `tops` as its ceilings and
+    `stair` as its staircase, and merges its column tops into `tops`.  No
+    ring outlives its search, so none reads what a smaller ring taught.
     """
 
     def __init__(self) -> None:
-        self.n = float("inf")  # the newest ring's n
+        self.n = float("inf")  # the last n searched
         self.stair: list[int] = []
         self.tops: dict[int, int] = {}
-        self._top: dict[int, int] = {}  # the newest ring's own column tops
 
-    def ring(self, n: int) -> QuotientRing:
+    def search(self, n: int) -> ZclResult:
         if n >= self.n:
             raise ValueError(f"a chain of rings must run down: W_{n} cannot follow W_{self.n}")
-        self.tops.update(self._top)
         q = build_quotient(n)
-        q._chain = self
-        self.n, self._top = n, q._top
-        return q
+        q._ceiling, q._stair = self.tops, self.stair
+        self.n = n
+        res = zcl_search(q)
+        self.tops.update(q._top)
+        return res
 
 
 def zcl_closed_form(n: int) -> int:

@@ -25,7 +25,7 @@ from w23.cli import main
 from w23.groebner import basis_for, binary_profile, buchberger, reduce_basis
 from w23.gseries import g_recurrence
 from w23.poly import W2, W3, Poly
-from w23.quotient import brute_heights, build_quotient
+from w23.quotient import QuotientRing, brute_heights, build_quotient
 from w23.verify import z
 from w23.zcl import (
     SMALL_N_ZCL,
@@ -191,6 +191,25 @@ def test_basis_degree_filter(capsys):
     assert out == "deg 7: (none)\n"
 
 
+def test_basis_degree_lists_one_degree(capsys, monkeypatch):
+    # one degree is listed without grouping B_n by degree: the same row, in
+    # lex order, at the bottom, in the middle, at the top and past the top
+    rows = []
+    for n in (6, 7, 21, 100, 255):
+        q = build_quotient(n)
+        top = q.max_degree
+        for d in (0, top // 2, top // 2 + 1, top, top + 1):
+            rows.append((n, d, q.by_degree().get(d, [])))
+
+    def grouped(q):
+        raise AssertionError(f"W_{q.n} grouped by degree")
+
+    monkeypatch.setattr(QuotientRing, "by_degree", grouped)
+    for n, d, row in rows:
+        _, out = run(capsys, "basis", str(n), "--degree", str(d), "--format", "json")
+        assert json.loads(out)["monomials"] == [list(m) for m in row], (n, d)
+
+
 def test_nf_output(capsys):
     assert run(capsys, "nf", "21", "12", "0") == (0, "w2^3*w3^6\n")
     assert run(capsys, "nf", "21", "9", "2") == (0, "w2^3*w3^6\n")
@@ -273,7 +292,7 @@ def test_zcl_range_cache_resume(capsys, tmp_path, monkeypatch):
     def no_search(q):
         raise AssertionError(f"W_{q.n} recomputed")
 
-    monkeypatch.setattr(cache, "zcl_search", no_search)
+    monkeypatch.setattr(zcl_module, "zcl_search", no_search)
     _, out = run(capsys, "zcl", "7", "--witness", "--cache-dir", str(cache_dir))
     assert out.startswith("zcl(W_7) = 7\nwitness: beta=7 gamma=0 r=8 ")
 
@@ -379,7 +398,7 @@ def test_zcl_range_stores_each_n_as_it_arrives(capsys, tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return zcl_search(q)
 
-    monkeypatch.setattr(cache, "zcl_search", search_until_20)
+    monkeypatch.setattr(zcl_module, "zcl_search", search_until_20)
     with pytest.raises(KeyboardInterrupt):
         main(["zcl-range", "6", "30", "--cache-dir", str(cache_dir)])
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
@@ -560,7 +579,7 @@ def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     def no_search(q):
         raise AssertionError(f"W_{q.n} searched")
 
-    monkeypatch.setattr(cache, "zcl_search", no_search)
+    monkeypatch.setattr(zcl_module, "zcl_search", no_search)
     afile = tmp_path / "afile"
     afile.write_text("")
     for path in (afile, afile / "sub"):
@@ -583,7 +602,7 @@ def test_empty_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     def no_search(q):
         raise AssertionError(f"W_{q.n} searched")
 
-    monkeypatch.setattr(cache, "zcl_search", no_search)
+    monkeypatch.setattr(zcl_module, "zcl_search", no_search)
     monkeypatch.chdir(tmp_path)
     for command in (["zcl", "6"], ["zcl-range", "6", "8"]):
         with pytest.raises(SystemExit) as err:

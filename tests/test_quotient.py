@@ -338,22 +338,35 @@ def test_top_matches_linear_scan(n, data):
 @given(data=st.data())
 def test_ceiling_gives_the_same_column_tops(data):
     # W_m maps onto W_n for m > n, so W_m's column tops bound W_n's, and a
-    # ring a chain builds after W_m, under the columns W_m read, finds the
+    # ring a chain searches after W_m, under the columns W_m read, finds the
     # tops a plain ring finds, whichever columns W_m read and in whatever
-    # order W_n asks; the chain refuses to build W_n again or anything above
+    # order W_n asks; the chain refuses to search W_n again or anything above
     n = data.draw(st.integers(6, 149), label="n")
     m = data.draw(st.integers(n + 1, 150), label="m")
-    plain, chain = build_quotient(n), zcl.Chain()
-    above = chain.ring(m)
+    plain, plain_m, chain = build_quotient(n), build_quotient(m), zcl.Chain()
     cols = list(range(brute_heights(plain).h3 + 2))
-    for c in data.draw(st.lists(st.sampled_from(cols), unique=True), label="read on W_m"):
-        above.top(c)
-    under = chain.ring(n)
-    for c in data.draw(st.permutations(cols), label="asked on W_n"):
-        assert under.top(c) == plain.top(c) <= above.top(c), (n, m, c)
+    read = data.draw(st.lists(st.sampled_from(cols), unique=True), label="read on W_m")
+    asked = data.draw(st.permutations(cols), label="asked on W_n")
+    searched = []
+
+    def search(q):  # in place of the walk: W_m reads its columns, W_n asks its own
+        searched.append(q.n)
+        if q.n == m:
+            for c in read:
+                q.top(c)
+        else:
+            for c in asked:
+                assert q.top(c) == plain.top(c) <= plain_m.top(c), (n, m, c)
+        return zcl.ZclResult(0, 0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zcl, "zcl_search", search)
+        chain.search(m)
+        chain.search(n)
+    assert searched == [m, n]
     for k in (n, n + 1):
         with pytest.raises(ValueError):
-            chain.ring(k)
+            chain.search(k)
 
 
 def test_ring_rejects_basis_reaching_top_degree():

@@ -533,12 +533,15 @@ def test_unguarded_pool_fails_instead_of_hanging(tmp_path):
 
 
 def test_sweep_keeps_no_ring_alive():
-    # a fresh process, so no other test's rings are counted
+    # a fresh process, so no other test's rings are counted: neither a
+    # sweep nor a chain's searches leave a ring behind
     src = str(Path(zcl_module.__file__).resolve().parents[1])
+    rings = "sum(isinstance(o, QuotientRing) for o in gc.get_objects())"
     probe = (
         "import gc; from w23.quotient import QuotientRing; from w23.cache import zcl_results;"
-        " rows = zcl_results(range(6, 101)); gc.collect();"
-        " print(len(rows), sum(isinstance(o, QuotientRing) for o in gc.get_objects()))"
+        " from w23.zcl import Chain;"
+        f" rows = zcl_results(range(6, 101)); gc.collect(); print(len(rows), {rings});"
+        f" chain = Chain(); chain.search(90); chain.search(64); gc.collect(); print({rings})"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -547,7 +550,7 @@ def test_sweep_keeps_no_ring_alive():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "95 0\n"
+    assert out.stdout == "95 0\n0\n"
 
 
 def test_verify_runs_one_sweep(monkeypatch):
@@ -558,7 +561,7 @@ def test_verify_runs_one_sweep(monkeypatch):
         searched.append(q.n)
         return zcl_search(q)
 
-    monkeypatch.setattr(cache_module, "zcl_search", counted)
+    monkeypatch.setattr(zcl_module, "zcl_search", counted)
     assert failures(run_suites(["zcl", "bounds"], t_max=4)) == []
     assert searched == list(range(30, 5, -1))
 
@@ -641,7 +644,8 @@ def test_cli_pool_counts_only_missing_n(monkeypatch, tmp_path, capsys):
 def test_per_n_walk_scans_every_cell_it_tests(monkeypatch):
     # a search of one ring seeds its own staircase, which answers no cell:
     # every cell the walk tests is scanned, so the per-n walk stays the
-    # oracle for the chained sweep
+    # oracle for the chained sweep; a second search of the ring reads that
+    # staircase and finds the same cell
     tested, scanned = [], []
 
     def counted(calls, f):
@@ -660,8 +664,10 @@ def test_per_n_walk_scans_every_cell_it_tests(monkeypatch):
     for n in (*range(6, 255), 1022, 1408, 1535):
         tested.clear()
         scanned.clear()
-        zcl_search(build_quotient(n))
+        q = build_quotient(n)
+        res = zcl_search(q)
         assert tested and tested == scanned, n
+        assert zcl_search(q) == res, n
 
 
 @pytest.fixture(scope="module")
@@ -703,7 +709,7 @@ def test_chain_points_the_walk_at_its_row_ends(per_n_6_254, monkeypatch):
         return res
 
     monkeypatch.setattr(zcl_module, "zero_divisor_product_nonzero", counted_cell)
-    monkeypatch.setattr(cache_module, "zcl_search", counted_search)
+    monkeypatch.setattr(zcl_module, "zcl_search", counted_search)
     assert zcl_results(range(6, 255)) == per_n_6_254
     assert len(cells) <= 1700, len(cells)
     assert sum(filled) < 40000, sum(filled)
@@ -754,19 +760,12 @@ def test_chain_must_run_down():
     # (W_90 on W_64's would read 92, not 94)
     for m, n in ((64, 90), (100, 200)):
         chain = Chain()
-        zcl_search(chain.ring(m))
+        chain.search(m)
         with pytest.raises(ValueError):
-            chain.ring(n)
+            chain.search(n)
+    assert Chain().search(90).value == zcl_closed_form(90) == 94
     with pytest.raises(TypeError):
         zcl_search(build_quotient(90), [])
-    # a ring the chain has moved past reads nothing learned below it,
-    # neither W_64's staircase nor, once W_40 merges them, W_64's tops
-    chain, plain = Chain(), build_quotient(90)
-    above = chain.ring(90)
-    zcl_search(chain.ring(64))
-    chain.ring(40)
-    assert [above.top(c) for c in range(20)] == [plain.top(c) for c in range(20)]
-    assert zcl_search(above) == zcl_search(plain) and zcl_closed_form(90) == 94
 
 
 @settings(max_examples=40)
